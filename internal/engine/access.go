@@ -399,22 +399,23 @@ func (a *Access) planDisjunct(conjs []*qtree.Constraint, ev *Evaluator) (disjunc
 	return disjunctPlan{probe: best, residual: residual}, true
 }
 
-// presentSafe reports whether evaluating a constraint on attr can never trip
-// the strict missing-attribute error: either evaluation treats absence as
-// false, or every tuple carries the attribute.
-func (a *Access) presentSafe(attr qtree.Attr, ev *Evaluator) bool {
+// presentSafe reports whether evaluating a constraint on the attribute
+// keyed attrKey can never trip the strict missing-attribute error: either
+// evaluation treats absence as false, or every tuple carries the attribute.
+func (a *Access) presentSafe(attrKey string, ev *Evaluator) bool {
 	if ev.MissingIsFalse {
 		return true
 	}
-	aa := a.attrs[attr.Key()]
+	aa := a.attrs[attrKey]
 	return aa != nil && aa.stats.Count == len(a.rel.Tuples)
 }
 
-// carried returns the attribute's index bundle and whether any tuple carries
-// it. A nil bundle with ok=false means the attribute never occurs: every
-// default-semantics constraint on it is vacuously error-free on values.
-func (a *Access) carried(attr qtree.Attr) (*attrAccess, bool) {
-	aa := a.attrs[attr.Key()]
+// carried returns the index bundle of the attribute keyed attrKey and
+// whether any tuple carries it. A nil bundle with ok=false means the
+// attribute never occurs: every default-semantics constraint on it is
+// vacuously error-free on values.
+func (a *Access) carried(attrKey string) (*attrAccess, bool) {
+	aa := a.attrs[attrKey]
 	if aa == nil || aa.stats.Count == 0 {
 		return nil, false
 	}
@@ -427,10 +428,10 @@ func (a *Access) carried(attr qtree.Attr) (*attrAccess, bool) {
 // disjunct to be incapable of erroring makes the indexed path's behavior —
 // including error behavior — identical to the scan's.
 func (a *Access) errorSafe(c *qtree.Constraint, ev *Evaluator) bool {
-	if !a.presentSafe(c.Attr, ev) {
+	if !a.presentSafe(c.AttrKey(), ev) {
 		return false
 	}
-	if c.IsJoin() && !a.presentSafe(*c.RAttr, ev) {
+	if c.IsJoin() && !a.presentSafe(c.RAttrKey(), ev) {
 		return false
 	}
 	if ev.hasOverride(c.Attr.Name, c.Op) {
@@ -439,14 +440,14 @@ func (a *Access) errorSafe(c *qtree.Constraint, ev *Evaluator) bool {
 		// surface identically. Treat as total.
 		return true
 	}
-	laa, lok := a.carried(c.Attr)
+	laa, lok := a.carried(c.AttrKey())
 	if !lok {
 		return true // never evaluated on a value
 	}
 	var rfam family
 	rUniform := true
 	if c.IsJoin() {
-		raa, rok := a.carried(*c.RAttr)
+		raa, rok := a.carried(c.RAttrKey())
 		if !rok {
 			return true
 		}
@@ -492,8 +493,8 @@ func (a *Access) probeFor(c *qtree.Constraint, ev *Evaluator) (probe, bool) {
 	if c.IsJoin() || c.Val == nil || ev.hasOverride(c.Attr.Name, c.Op) {
 		return probe{}, false
 	}
-	attrKey := c.Attr.Key()
-	aa, ok := a.carried(c.Attr)
+	attrKey := c.AttrKey()
+	aa, ok := a.carried(attrKey)
 	if !ok {
 		// No tuple carries the attribute: under MissingIsFalse (guaranteed
 		// by errorSafe) the constraint is false everywhere.
@@ -661,7 +662,7 @@ func (a *Access) estimate(c *qtree.Constraint, ev *Evaluator) float64 {
 	switch c.Op {
 	case qtree.OpEq:
 		sel = 0.1
-		if aa, ok := a.carried(c.Attr); ok && aa.stats.Distinct > 0 {
+		if aa, ok := a.carried(c.AttrKey()); ok && aa.stats.Distinct > 0 {
 			sel = float64(aa.stats.Count) / float64(aa.stats.Distinct) / float64(n)
 		}
 	case qtree.OpNe:

@@ -17,7 +17,7 @@ type OpFunc func(tv, cv qtree.Value) (bool, error)
 // by (attribute name, operator); this is how sources with special attribute
 // semantics (Example 8's Cll/Cur corners) plug in.
 type Evaluator struct {
-	overrides map[string]OpFunc
+	overrides map[opKey]OpFunc
 	// MissingIsFalse controls evaluation when the tuple lacks the
 	// constrained attribute: if true the constraint is simply false; if
 	// false (the default) evaluation fails with an error, which catches
@@ -25,21 +25,24 @@ type Evaluator struct {
 	MissingIsFalse bool
 }
 
+// opKey keys an override by bare attribute name and operator.
+type opKey struct{ attr, op string }
+
 // NewEvaluator returns an evaluator with the default operator semantics.
 func NewEvaluator() *Evaluator {
-	return &Evaluator{overrides: make(map[string]OpFunc)}
+	return &Evaluator{overrides: make(map[opKey]OpFunc)}
 }
 
 // Override installs fn for constraints on the named attribute (by bare
 // attribute name, ignoring view/relation qualifiers) with operator op.
 func (e *Evaluator) Override(attrName, op string, fn OpFunc) {
-	e.overrides[attrName+"\x00"+op] = fn
+	e.overrides[opKey{attrName, op}] = fn
 }
 
 // hasOverride reports whether a custom predicate is installed for the
 // attribute/operator pair; index probes must not bypass it.
 func (e *Evaluator) hasOverride(attrName, op string) bool {
-	_, ok := e.overrides[attrName+"\x00"+op]
+	_, ok := e.overrides[opKey{attrName, op}]
 	return ok
 }
 
@@ -74,9 +77,11 @@ func (e *Evaluator) EvalQuery(q *qtree.Node, t Tuple) (bool, error) {
 	}
 }
 
-// EvalConstraint evaluates a single constraint against a tuple.
+// EvalConstraint evaluates a single constraint against a tuple. It looks
+// attributes up by the constraint's cached keys, so a constructor-built
+// constraint evaluates without allocating.
 func (e *Evaluator) EvalConstraint(c *qtree.Constraint, t Tuple) (bool, error) {
-	lv, ok := t.Get(c.Attr)
+	lv, ok := t[c.AttrKey()]
 	if !ok {
 		if e.MissingIsFalse {
 			return false, nil
@@ -85,7 +90,7 @@ func (e *Evaluator) EvalConstraint(c *qtree.Constraint, t Tuple) (bool, error) {
 	}
 	var rv qtree.Value
 	if c.IsJoin() {
-		rv, ok = t.Get(*c.RAttr)
+		rv, ok = t[c.RAttrKey()]
 		if !ok {
 			if e.MissingIsFalse {
 				return false, nil
@@ -95,7 +100,7 @@ func (e *Evaluator) EvalConstraint(c *qtree.Constraint, t Tuple) (bool, error) {
 	} else {
 		rv = c.Val
 	}
-	if fn, ok := e.overrides[c.Attr.Name+"\x00"+c.Op]; ok {
+	if fn, ok := e.overrides[opKey{c.Attr.Name, c.Op}]; ok {
 		return fn(lv, rv)
 	}
 	return DefaultOp(c.Op, lv, rv)

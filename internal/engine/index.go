@@ -78,7 +78,7 @@ func (r *Relation) SelectIndexed(q *qtree.Node, ev *Evaluator, indexes IndexSet)
 			if ev.hasOverride(c.Attr.Name, c.Op) {
 				continue
 			}
-			ix, ok := indexes[c.Attr.Key()]
+			ix, ok := indexes[c.AttrKey()]
 			if !ok {
 				continue
 			}

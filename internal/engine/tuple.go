@@ -12,10 +12,11 @@ package engine
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"repro/internal/qtree"
+	"repro/internal/values"
 )
 
 // Tuple maps attribute keys (qtree.Attr.Key()) to values. A tuple may carry
@@ -52,18 +53,55 @@ func (t Tuple) Merge(u Tuple) Tuple {
 	return c
 }
 
-// String renders the tuple deterministically for tests and debugging.
+// String renders the tuple deterministically: {k1=v1, k2=v2, ...} in key
+// order, each value as its String(). The rendering is the tuple's identity
+// for dedup and ordering on every union path, so it is built in one stack
+// buffer and allocates once, for the result, when every value is a String
+// or an Int; other kinds cost their own String().
 func (t Tuple) String() string {
-	keys := make([]string, 0, len(t))
+	var keyArr [32]string
+	keys := keyArr[:0]
 	for k := range t {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
+	slices.Sort(keys)
+	var bufArr [1024]byte
+	b := append(bufArr[:0], '{')
 	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%s", k, t[k].String())
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, k...)
+		b = append(b, '=')
+		b = appendValue(b, t[k])
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	b = append(b, '}')
+	return string(b)
+}
+
+// appendValue appends v.String() to b, formatting the common kinds directly.
+func appendValue(b []byte, v qtree.Value) []byte {
+	switch x := v.(type) {
+	case values.String:
+		return appendQuoted(b, string(x))
+	case values.Int:
+		return strconv.AppendInt(b, int64(x), 10)
+	default:
+		return append(b, v.String()...)
+	}
+}
+
+// appendQuoted appends strconv.Quote(s). Printable ASCII without quotes or
+// backslashes quotes as itself; anything else takes strconv's escaping.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Relation is a named bag of tuples.

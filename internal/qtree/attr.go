@@ -49,8 +49,12 @@ func VIA(view string, index int, name string) Attr {
 func RA(view, rel, name string) Attr { return Attr{View: view, Rel: rel, Name: name} }
 
 // String renders the attribute in the paper's notation:
-// name, view.name, view[i].name, or view.rel.name.
+// name, view.name, view[i].name, or view.rel.name. An unqualified
+// attribute renders as its name, without allocating.
 func (a Attr) String() string {
+	if a.View == "" && a.Rel == "" {
+		return a.Name
+	}
 	var b strings.Builder
 	if a.View != "" {
 		b.WriteString(a.View)

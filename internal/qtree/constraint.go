@@ -51,17 +51,19 @@ type Constraint struct {
 	// Key() falls back to a stateless computation, so a missing cache can
 	// never be wrong — only slower.
 	key string
-	// valOff is the byte offset of the value-key component inside key for
-	// cached selection constraints; zero means "not cached" (the minimal
-	// real offset is 4).
-	valOff int
+	// rOff is the byte offset inside key of the right-hand component: the
+	// value key of a selection, the second attribute key of a join. It is
+	// negated for a join whose normalized key puts RAttr first. Zero means
+	// "not cached" (the minimal real offset is 4). Together with len(Op)
+	// it locates every component of key, so the accessors below slice
+	// instead of rebuilding strings.
+	rOff int
 }
 
 // Sel constructs a selection constraint [attr op val].
 func Sel(attr Attr, op string, val Value) *Constraint {
 	c := &Constraint{Attr: attr, Op: op, Val: val}
-	c.key = c.computeKey()
-	c.valOff = 1 + len(attr.Key()) + 1 + len(op) + 1
+	c.key, c.rOff = c.computeKey()
 	return c
 }
 
@@ -69,7 +71,7 @@ func Sel(attr Attr, op string, val Value) *Constraint {
 func Join(left Attr, op string, right Attr) *Constraint {
 	r := right
 	c := &Constraint{Attr: left, Op: op, RAttr: &r}
-	c.key = c.computeKey()
+	c.key, c.rOff = c.computeKey()
 	return c
 }
 
@@ -102,30 +104,79 @@ func (c *Constraint) Key() string {
 	if c.key != "" {
 		return c.key
 	}
-	return c.computeKey()
+	k, _ := c.computeKey()
+	return k
 }
 
-// computeKey derives the canonical key from scratch. The join branch inlines
-// Normalize's operator-direction rules rather than calling it, so constructor
-// key caching cannot recurse through the intermediate Join allocation.
-func (c *Constraint) computeKey() string {
+// computeKey derives the canonical key from scratch, with the offset of its
+// right-hand component (see rOff). The join branch inlines Normalize's
+// operator-direction rules rather than calling it, so constructor key
+// caching cannot recurse through the intermediate Join allocation.
+func (c *Constraint) computeKey() (string, int) {
 	if !c.IsJoin() {
-		return "[" + c.Attr.Key() + " " + c.Op + " " + valueKey(c.Val) + "]"
+		a := c.Attr.Key()
+		return "[" + a + " " + c.Op + " " + valueKey(c.Val) + "]", 1 + len(a) + 1 + len(c.Op) + 1
 	}
 	l, r, op := c.Attr, *c.RAttr, c.Op
+	swapped := false
 	switch op {
 	case OpLt: // prefer ">"
 		op = OpGt
-		l, r = r, l
+		l, r, swapped = r, l, true
 	case OpLe: // prefer ">="
 		op = OpGe
-		l, r = r, l
+		l, r, swapped = r, l, true
 	case OpEq, OpNe:
 		if l.Key() > r.Key() {
-			l, r = r, l
+			l, r, swapped = r, l, true
 		}
 	}
-	return "[" + l.Key() + " " + op + " " + r.Key() + "]"
+	lk := l.Key()
+	off := 1 + len(lk) + 1 + len(op) + 1
+	if swapped {
+		off = -off
+	}
+	return "[" + lk + " " + op + " " + r.Key() + "]", off
+}
+
+// sides slices a cached key into the left attribute key and the right-hand
+// component (value key or right attribute key), in Attr/RAttr order.
+// Normalization keeps the operator's length, so len(c.Op) locates the gap.
+func (c *Constraint) sides() (left, right string) {
+	off, swapped := c.rOff, false
+	if off < 0 {
+		off, swapped = -off, true
+	}
+	first, second := c.key[1:off-len(c.Op)-2], c.key[off:len(c.key)-1]
+	if swapped {
+		return second, first
+	}
+	return first, second
+}
+
+// AttrKey returns c.Attr.Key(). For constructor-built constraints it slices
+// the cached key without allocating, which keeps per-tuple evaluation and
+// index probes off the allocator.
+func (c *Constraint) AttrKey() string {
+	if c.rOff == 0 {
+		return c.Attr.Key()
+	}
+	l, _ := c.sides()
+	return l
+}
+
+// RAttrKey returns c.RAttr.Key() for a join constraint, slicing the cached
+// key like AttrKey. Selection constraints have no right attribute and
+// return "".
+func (c *Constraint) RAttrKey() string {
+	if !c.IsJoin() {
+		return ""
+	}
+	if c.rOff == 0 {
+		return c.RAttr.Key()
+	}
+	_, r := c.sides()
+	return r
 }
 
 // ValueKey returns the canonical identity of the constraint's constant: the
@@ -136,10 +187,11 @@ func (c *Constraint) ValueKey() string {
 	if c.IsJoin() {
 		return ""
 	}
-	if c.key != "" && c.valOff > 0 {
-		return c.key[c.valOff : len(c.key)-1]
+	if c.rOff == 0 {
+		return valueKey(c.Val)
 	}
-	return valueKey(c.Val)
+	_, v := c.sides()
+	return v
 }
 
 // ValueKey returns the canonical identity string of a constant value — the

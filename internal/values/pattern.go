@@ -3,6 +3,7 @@ package values
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/qtree"
 )
@@ -110,14 +111,103 @@ func (p *Pattern) HasNear() bool {
 }
 
 // Match evaluates the pattern against a text, tokenized on non-letter/digit
-// boundaries and compared case-insensitively.
+// boundaries and compared case-insensitively. Only (near) needs token
+// positions; patterns without it compare each keyword with the text's
+// tokens in place, without tokenizing or allocating.
 func (p *Pattern) Match(text string) bool {
+	if p.HasNear() {
+		return p.matchTokens(text)
+	}
+	return p.matchInPlace(text)
+}
+
+// matchTokens evaluates the pattern over the positions of Tokenize(text).
+func (p *Pattern) matchTokens(text string) bool {
 	toks := Tokenize(text)
 	pos := make(map[string][]int)
 	for i, t := range toks {
 		pos[t] = append(pos[t], i)
 	}
 	return p.match(pos)
+}
+
+// matchInPlace evaluates a pattern without (near) by scanning the text once
+// per keyword.
+func (p *Pattern) matchInPlace(text string) bool {
+	switch p.Op {
+	case PatWord:
+		return hasToken(text, p.Word)
+	case PatAnd:
+		for _, s := range p.Subs {
+			if !s.matchInPlace(text) {
+				return false
+			}
+		}
+		return true
+	case PatOr:
+		for _, s := range p.Subs {
+			if s.matchInPlace(text) {
+				return true
+			}
+		}
+		return false
+	default:
+		return false
+	}
+}
+
+// hasToken reports whether strings.ToLower(word) is one of Tokenize(text).
+// Tokens are maximal runs of ASCII letters and digits, so the lowered word
+// must be such a run too; it is compared with each of the text's runs
+// ignoring ASCII case. An ASCII word is folded the same way instead of
+// lowered, which is what strings.ToLower would do to it.
+func hasToken(text, word string) bool {
+	for i := 0; i < len(word); i++ {
+		if word[i] >= utf8.RuneSelf {
+			word = strings.ToLower(word)
+			break
+		}
+	}
+	if word == "" {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		if !isTokenByte(word[i]) {
+			return false
+		}
+	}
+	for i := 0; i < len(text); {
+		if !isTokenByte(text[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(text) && isTokenByte(text[j]) {
+			j++
+		}
+		if j-i == len(word) && equalFoldASCII(text[i:j], word) {
+			return true
+		}
+		i = j
+	}
+	return false
+}
+
+// isTokenByte reports whether c is an ASCII letter or digit, the only
+// bytes a token holds.
+func isTokenByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+}
+
+// equalFoldASCII compares two equal-length runs of letters and digits
+// ignoring case.
+func equalFoldASCII(a, b string) bool {
+	for i := 0; i < len(a); i++ {
+		if a[i]|0x20 != b[i]|0x20 {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *Pattern) match(pos map[string][]int) bool {
@@ -197,9 +287,7 @@ func withinWindow(lists [][]int, window int) bool {
 
 // Tokenize splits text into lowercase word tokens.
 func Tokenize(text string) []string {
-	f := func(r rune) bool {
-		return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9')
-	}
+	f := func(r rune) bool { return r >= utf8.RuneSelf || !isTokenByte(byte(r)) }
 	raw := strings.FieldsFunc(text, f)
 	out := make([]string, len(raw))
 	for i, t := range raw {
