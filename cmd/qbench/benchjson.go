@@ -223,6 +223,7 @@ func runBenchSuite() []benchEntry {
 	out = append(out, runBatchBench()...)
 	out = append(out, runStreamBench()...)
 	out = append(out, runScanBench()...)
+	out = append(out, runJoinBench()...)
 	out = append(out, runComposeBench()...)
 	out = append(out, runHedgeBench()...)
 	out = append(out, runAdmissionBench()...)
@@ -330,6 +331,42 @@ func runAdmissionBench() []benchEntry {
 		out = append(out, entry)
 	}
 	return out
+}
+
+// runJoinBench compares join-style mediation's two executions on fixed
+// library selections (T1 and T2 of a 48-person, 20-paper library), the
+// library glue and a filter keeping a few pairs: the materialized product
+// with two selections, the oracle's chain, against engine.Join's
+// hash-probed kernel. The probe is most of the kernel's lead, so the trend
+// check fails the kernel row if the probe stops running.
+func runJoinBench() []benchEntry {
+	people, papers := sources.GenLibrary(3, 48, 20)
+	t1, t2 := sources.T1Relation(people, papers), sources.T2Relation(people)
+	glue := sources.LibraryGlue()
+	filter := qtree.Leaf(qtree.Sel(qtree.VA("fac", "bib"), qtree.OpContains, values.String("mining")))
+	ev := engine.NewEvaluator()
+	return []benchEntry{
+		{
+			Name: "join/product",
+			NsPerOp: timeOp(func() {
+				joined, err := engine.Product(t1, t2).Select(glue, ev)
+				if err == nil {
+					_, err = joined.Select(filter, ev)
+				}
+				if err != nil {
+					panic(err)
+				}
+			}),
+		},
+		{
+			Name: "join/kernel",
+			NsPerOp: timeOp(func() {
+				if _, err := engine.Join([]*engine.Relation{t1, t2}, glue, filter, ev); err != nil {
+					panic(err)
+				}
+			}),
+		},
+	}
 }
 
 // runScanBench compares the engine's full-scan selection against the
@@ -631,6 +668,7 @@ func benchNames() []string {
 	for _, v := range []string{"eq", "range", "contains"} {
 		names = append(names, "scan/full/"+v, "scan/indexed/"+v)
 	}
+	names = append(names, "join/product", "join/kernel")
 	for _, e := range []int{0, 2} {
 		for _, k := range []int{2, 8} {
 			names = append(names,

@@ -181,7 +181,8 @@ type Failure struct {
 }
 
 // Reproducer renders the failure for humans: the replay seed, the violated
-// oracle, and the (shrunk, if available) query and dataset.
+// oracle and the variant it failed under (when the oracle names one), and
+// the (shrunk, if available) query and dataset.
 func (f *Failure) Reproducer() string {
 	c, v := f.Case, f.Violation
 	shrunk := ""
@@ -189,8 +190,12 @@ func (f *Failure) Reproducer() string {
 		c, v = f.Shrunk, f.ShrunkViolation
 		shrunk = " (shrunk)"
 	}
-	return fmt.Sprintf("replay seed: %s\noracle:      %s\nquery%s: %s\nconstraints: %d\ndataset:     %d tuples\ndetail:      %s",
-		f.Case.SeedString(), v.Oracle, shrunk, c.Query, len(c.Query.Constraints()), len(c.Data), v.Detail)
+	variant := ""
+	if v.Variant != "" {
+		variant = "\nvariant:     " + v.Variant
+	}
+	return fmt.Sprintf("replay seed: %s\noracle:      %s%s\nquery%s: %s\nconstraints: %d\ndataset:     %d tuples\ndetail:      %s",
+		f.Case.SeedString(), v.Oracle, variant, shrunk, c.Query, len(c.Query.Constraints()), len(c.Data), v.Detail)
 }
 
 // Report summarizes a Run.

@@ -229,6 +229,9 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 		variant string
 		plan    engine.FaultPlan
 		make    func(inj *engine.Injector) serve.Config
+		// openFor is the breaker's cool-down; the retry loop waits it out
+		// after a fast-fail. Zero without a breaker.
+		openFor time.Duration
 	}
 	var grid []faultConfig
 	for _, workers := range []int{1, 4} {
@@ -258,7 +261,8 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 	// failed requests must still carry only typed errors — now including
 	// ErrBreakerOpen — and successes must still be byte-identical to the
 	// fault-free baseline. The breaker cool-down is shortened so the retry
-	// loop can observe recovery rather than starving on fast-fails.
+	// loop, which waits it out after each fast-fail, can observe recovery
+	// rather than starving on fast-fails.
 	shortOpen := resilience.BreakerConfig{OpenFor: 2 * time.Millisecond}
 	for _, res := range []struct {
 		tag string
@@ -273,6 +277,7 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 		grid = append(grid, faultConfig{
 			variant: "faults/" + res.tag,
 			plan:    faultPlan,
+			openFor: res.rc.BreakerConfig.OpenFor,
 			make: func(inj *engine.Injector) serve.Config {
 				return serve.Config{
 					Workers:       4,
@@ -327,6 +332,11 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 				if !typedFault(err) {
 					return &Violation{Oracle: "serve-equivalence", Variant: fc.variant,
 						Detail: fmt.Sprintf("untyped error under fault injection: %v", err)}
+				}
+				if errors.Is(err, serve.ErrBreakerOpen) {
+					// An immediate retry lands inside the cool-down and
+					// fast-fails again; let the breaker half-open first.
+					time.Sleep(fc.openFor)
 				}
 				continue
 			}

@@ -822,7 +822,7 @@ func (r *Relation) SelectAccess(ctx context.Context, q *qtree.Node, ev *Evaluato
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("engine: selecting from %s: %w", r.Name, err)
+		return nil, selectErr(r.Name, err)
 	}
 	return out, nil
 }

@@ -48,14 +48,21 @@ func (e *Evaluator) hasOverride(attrName, op string) bool {
 
 // EvalQuery evaluates a whole query tree against a tuple.
 func (e *Evaluator) EvalQuery(q *qtree.Node, t Tuple) (bool, error) {
+	return e.evalRows(q, []Tuple{t})
+}
+
+// evalRows evaluates q against the merge of rows without building it: each
+// attribute is read from the last row carrying it, as in Merge. EvalQuery
+// passes its tuple as the only row; Join passes one row per relation.
+func (e *Evaluator) evalRows(q *qtree.Node, rows []Tuple) (bool, error) {
 	switch q.Kind {
 	case qtree.KindTrue:
 		return true, nil
 	case qtree.KindLeaf:
-		return e.EvalConstraint(q.C, t)
+		return e.evalLeaf(q.C, rows)
 	case qtree.KindAnd:
 		for _, k := range q.Kids {
-			ok, err := e.EvalQuery(k, t)
+			ok, err := e.evalRows(k, rows)
 			if err != nil || !ok {
 				return false, err
 			}
@@ -63,7 +70,7 @@ func (e *Evaluator) EvalQuery(q *qtree.Node, t Tuple) (bool, error) {
 		return true, nil
 	case qtree.KindOr:
 		for _, k := range q.Kids {
-			ok, err := e.EvalQuery(k, t)
+			ok, err := e.evalRows(k, rows)
 			if err != nil {
 				return false, err
 			}
@@ -81,7 +88,12 @@ func (e *Evaluator) EvalQuery(q *qtree.Node, t Tuple) (bool, error) {
 // attributes up by the constraint's cached keys, so a constructor-built
 // constraint evaluates without allocating.
 func (e *Evaluator) EvalConstraint(c *qtree.Constraint, t Tuple) (bool, error) {
-	lv, ok := t[c.AttrKey()]
+	return e.evalLeaf(c, []Tuple{t})
+}
+
+// evalLeaf evaluates a single constraint against the merge of rows.
+func (e *Evaluator) evalLeaf(c *qtree.Constraint, rows []Tuple) (bool, error) {
+	lv, ok := lookupRows(rows, c.AttrKey())
 	if !ok {
 		if e.MissingIsFalse {
 			return false, nil
@@ -90,7 +102,7 @@ func (e *Evaluator) EvalConstraint(c *qtree.Constraint, t Tuple) (bool, error) {
 	}
 	var rv qtree.Value
 	if c.IsJoin() {
-		rv, ok = t[c.RAttrKey()]
+		rv, ok = lookupRows(rows, c.RAttrKey())
 		if !ok {
 			if e.MissingIsFalse {
 				return false, nil
@@ -104,6 +116,17 @@ func (e *Evaluator) EvalConstraint(c *qtree.Constraint, t Tuple) (bool, error) {
 		return fn(lv, rv)
 	}
 	return DefaultOp(c.Op, lv, rv)
+}
+
+// lookupRows reads attribute k of the merge of rows: the last row carrying
+// k wins, as in Merge.
+func lookupRows(rows []Tuple, k string) (qtree.Value, bool) {
+	for i := len(rows) - 1; i >= 0; i-- {
+		if v, ok := rows[i][k]; ok {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // DefaultOp implements the standard operator semantics.

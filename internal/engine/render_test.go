@@ -187,3 +187,26 @@ func BenchmarkTupleString(b *testing.B) {
 		}
 	})
 }
+
+// TestJoinAllocs: with the library glue, Join's allocations follow the
+// answers it merges, not the pairs of T1 × T2 the product path merged.
+func TestJoinAllocs(t *testing.T) {
+	people, papers := sources.GenLibrary(3, 24, 20)
+	rels := []*engine.Relation{sources.T1Relation(people, papers), sources.T2Relation(people)}
+	glue, ev := sources.LibraryGlue(), engine.NewEvaluator()
+	out, err := engine.Join(rels, glue, qtree.True(), ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := out.Len()
+	if answers == 0 {
+		t.Fatal("the fixture joins no pairs")
+	}
+	// A merged library tuple is one map, a handful of allocations; the
+	// product path made as many for every one of the 11 520 pairs.
+	allocs := testing.AllocsPerRun(20, func() { _, _ = engine.Join(rels, glue, qtree.True(), ev) })
+	if limit := 5 * answers; allocs > float64(limit) {
+		t.Errorf("Join allocates %v times for %d answers of %d pairs, want at most %d",
+			allocs, answers, rels[0].Len()*rels[1].Len(), limit)
+	}
+}

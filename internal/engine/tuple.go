@@ -1,5 +1,5 @@
 // Package engine is a small in-memory relational engine: typed tuples,
-// relations, constraint-query selection, and cross products. It is the
+// relations, constraint-query selection, cross products and joins. It is the
 // substrate on which the reproduction *executes* translated queries so that
 // the paper's subsumption guarantees (Definition 1, Eq. 3) can be verified
 // empirically rather than only on paper.
@@ -124,13 +124,19 @@ func (r *Relation) Select(q *qtree.Node, ev *Evaluator) (*Relation, error) {
 	for _, t := range r.Tuples {
 		ok, err := ev.EvalQuery(q, t)
 		if err != nil {
-			return nil, fmt.Errorf("engine: selecting from %s: %w", r.Name, err)
+			return nil, selectErr(r.Name, err)
 		}
 		if ok {
 			out.Tuples = append(out.Tuples, t)
 		}
 	}
 	return out, nil
+}
+
+// selectErr wraps an evaluation error the way Select reports it; Join and
+// SelectAccess report theirs the same way.
+func selectErr(name string, err error) error {
+	return fmt.Errorf("engine: selecting from %s: %w", name, err)
 }
 
 // Product returns the cross product of two relations; tuple attribute sets

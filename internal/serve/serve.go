@@ -564,8 +564,10 @@ func (s *Server) Query(ctx context.Context, q *qtree.Node) (*engine.Relation, er
 
 // QueryJoin answers q in join-style integration (Eq. 2), producing the same
 // relation as mediator.ExecuteJoin: the parallel per-source selections are
-// cross-multiplied in source order, the mediator's glue constraint is
-// applied, and the global filter F removes the false positives.
+// joined in source order under the mediator's glue constraint, and the
+// global filter F removes the false positives. engine.Join evaluates the
+// glue and F on candidate pairs and merges only the answers instead of
+// materializing the cross product.
 func (s *Server) QueryJoin(ctx context.Context, q *qtree.Node) (*engine.Relation, error) {
 	s.requests.Inc()
 	s.inFlight.Inc()
@@ -588,25 +590,7 @@ func (s *Server) QueryJoin(ctx context.Context, q *qtree.Node) (*engine.Relation
 		s.errors.Inc()
 		return nil, err
 	}
-	var combined *engine.Relation
-	for _, sel := range rels {
-		if combined == nil {
-			combined = sel
-		} else {
-			combined = engine.Product(combined, sel)
-		}
-	}
-	if combined == nil {
-		return engine.NewRelation("result"), nil
-	}
-	if s.med.Glue != nil {
-		combined, err = combined.Select(s.med.Glue, s.med.Eval)
-		if err != nil {
-			s.errors.Inc()
-			return nil, err
-		}
-	}
-	out, err := combined.Select(tr.Filter, s.med.Eval)
+	out, err := engine.Join(rels, s.med.Glue, tr.Filter, s.med.Eval)
 	if err != nil {
 		s.errors.Inc()
 		return nil, err
