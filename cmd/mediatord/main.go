@@ -82,7 +82,6 @@ func main() {
 	seed := flag.Int64("seed", 1999, "catalog generator seed")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "translation cache capacity (entries)")
 	matchCache := flag.Int("matchcache", 0, "shared matchings-cache capacity (0 = default, negative disables)")
-	plan := flag.Int("plan", 0, "shared translation-plan capacity (0 = default, negative disables)")
 	workers := flag.Int("workers", 0, "max concurrent source executions (0 = 2×GOMAXPROCS)")
 	srcTimeout := flag.Duration("source-timeout", 10*time.Second, "per-source execution timeout (0 = none)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
@@ -99,7 +98,6 @@ func main() {
 		Cache: serve.CacheConfig{
 			Size:           *cacheSize,
 			MatchCacheSize: *matchCache,
-			PlanSize:       *plan,
 			Admission:      *admission,
 		},
 		Streaming: serve.StreamConfig{

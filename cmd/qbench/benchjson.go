@@ -192,33 +192,6 @@ func runBenchSuite() []benchEntry {
 		}
 	}
 
-	// Warm translation-plan sweep: the same dependency-degree grid with a
-	// shared plan attached. timeOp's warm-up call populates the plan, so the
-	// measured loop replays precomputed fragments by query shape;
-	// hit_rate_pct witnesses the replay. attempts/op and terms/op stay equal
-	// to the plan-free rows — hits compensate Stats exactly.
-	for _, e := range []int{0, 2} {
-		for _, k := range []int{2, 4, 8} {
-			s, q := workload.DependencyConjunction(n, k, e)
-			pl := core.NewPlan(0)
-			tr := core.NewTranslator(s.Spec, core.WithPlan(pl))
-			ops := 0
-			ns := timeOp(func() {
-				ops++
-				if _, err := tr.TDQM(q); err != nil {
-					panic(err)
-				}
-			})
-			out = append(out, benchEntry{
-				Name:          fmt.Sprintf("plan/tdqm/e=%d/k=%d", e, k),
-				NsPerOp:       ns,
-				AttemptsPerOp: float64(tr.Stats.RuleAttempts) / float64(ops),
-				TermsPerOp:    float64(tr.Stats.ProductTerms) / float64(ops),
-				HitRatePct:    math.Round(1000*pl.Stats().HitRate()) / 10,
-			})
-		}
-	}
-
 	out = append(out, runServeCacheBench()...)
 	out = append(out, runBatchBench()...)
 	out = append(out, runStreamBench()...)
@@ -310,7 +283,6 @@ func runAdmissionBench() []benchEntry {
 			Cache: serve.CacheConfig{
 				Size:           32,
 				MatchCacheSize: -1,
-				PlanSize:       -1,
 				Admission:      variant.admit,
 			},
 		})
@@ -565,7 +537,8 @@ func benchQueriesSeed(s *workload.Scenario, n int, seed int64) []*qtree.Node {
 // runServeCacheBench measures a serve.Server translating a rotation of
 // distinct queries with the shared matchings cache off and warm. The
 // translation cache is held at one entry so every request re-translates —
-// isolating the cross-request matching reuse the shared cache provides.
+// isolating the cross-request matching reuse the shared cache provides;
+// the warm row's hit rate shows the reuse happened (see warmCacheFloor).
 func runServeCacheBench() []benchEntry {
 	s := workload.New(workload.Config{Indep: 6, Pairs: 3, InexactPairs: 2, Triples: 1})
 	qs := benchQueries(s, 32)
@@ -576,7 +549,7 @@ func runServeCacheBench() []benchEntry {
 		size int // MatchCacheSize: negative disables
 	}{{"off", -1}, {"warm", 0}} {
 		med := mediator.New(&sources.Source{Name: "w1", Spec: s.Spec, Eval: s.Eval})
-		srv := serve.New(med, nil, serve.Config{CacheSize: 1, MatchCacheSize: variant.size})
+		srv := serve.New(med, nil, serve.Config{Cache: serve.CacheConfig{Size: 1, MatchCacheSize: variant.size}})
 		i := 0
 		entry := benchEntry{
 			Name: "serve/sharedmatchcache/" + variant.name,
@@ -646,11 +619,6 @@ func benchNames() []string {
 			for _, k := range []int{2, 4, 8} {
 				names = append(names, fmt.Sprintf("sweep/%s/e=%d/k=%d", v, e, k))
 			}
-		}
-	}
-	for _, e := range []int{0, 2} {
-		for _, k := range []int{2, 4, 8} {
-			names = append(names, fmt.Sprintf("plan/tdqm/e=%d/k=%d", e, k))
 		}
 	}
 	names = append(names,
@@ -812,5 +780,18 @@ func checkBenchJSON(path string) error {
 		return fmt.Errorf("%s is stale: recorded benchmarks %v, suite is %v (regenerate with qbench -bench-json)",
 			path, recorded, benchNames())
 	}
+	for _, b := range f.Benchmarks {
+		if b.Name == warmCacheRow && b.HitRatePct < warmCacheFloor {
+			return fmt.Errorf("%s: %s records a %.1f%% hit rate, below the %.0f%% that shows its cache layer ran",
+				path, b.Name, b.HitRatePct, float64(warmCacheFloor))
+		}
+	}
 	return nil
 }
+
+// warmCacheRow times the shared matchings cache. Below warmCacheFloor
+// percent hits it measured some other layer, so -bench-check rejects it.
+const (
+	warmCacheRow   = "serve/sharedmatchcache/warm"
+	warmCacheFloor = 90
+)

@@ -13,8 +13,7 @@
 //	                   # cache hit rate, and per-source latency histograms.
 //	                   # -batch N submits requests through TranslateBatch in
 //	                   # chunks of N; -matchcache N sizes the shared
-//	                   # matchings cache and -plan N the shared translation
-//	                   # plan (negative disables either)
+//	                   # matchings cache (negative disables it)
 //	qbench -serve -rps 500 -slo 20ms -hedge -taildelay 10ms
 //	                   # drill mode: open-loop load paced at a fixed RPS with
 //	                   # p50/p95/p99 latency reporting; exits 1 when p99
@@ -94,7 +93,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.serveMode.par, "par", 0, "serve mode: per-translation worker pool size (0 = sequential)")
 	fs.IntVar(&o.serveMode.batch, "batch", 0, "serve mode: translate in batches of this size instead of executing queries (0 = off)")
 	fs.IntVar(&o.serveMode.matchcache, "matchcache", 0, "serve mode: shared matchings-cache capacity (0 = default, negative disables)")
-	fs.IntVar(&o.serveMode.plan, "plan", 0, "serve mode: shared translation-plan capacity (0 = default, negative disables)")
 	fs.BoolVar(&o.serveMode.stream, "stream", false, "serve mode: answer queries on the streaming per-shard pipeline")
 	fs.IntVar(&o.serveMode.shards, "shards", 4, "serve mode: shards per source on the streaming path")
 	fs.BoolVar(&o.serveMode.index, "index", false, "serve mode: answer via cost-based access paths (selectivity-ranked index probes)")

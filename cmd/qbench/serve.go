@@ -30,7 +30,6 @@ type serveOptions struct {
 	par        int  // per-translation worker pool (mediator.Parallelism)
 	batch      int  // translate in batches of this size instead of executing (0 = off)
 	matchcache int  // shared matchings-cache capacity (0 = default, negative disables)
-	plan       int  // shared translation-plan capacity (0 = default, negative disables)
 	stream     bool // answer queries on the streaming per-shard pipeline
 	shards     int  // shards per source on the streaming path
 	index      bool // answer via cost-based access paths (index probes)
@@ -88,7 +87,6 @@ func runServe(opt serveOptions) error {
 		Cache: serve.CacheConfig{
 			Size:           opt.cache,
 			MatchCacheSize: opt.matchcache,
-			PlanSize:       opt.plan,
 			Admission:      opt.admit,
 		},
 		Streaming: serve.StreamConfig{
@@ -218,14 +216,6 @@ func runServe(opt serveOptions) error {
 			[]string{"matchcache hit rate", fmt.Sprintf("%.1f%%", 100*mcs.HitRate())},
 			[]string{"matchcache hits/misses", fmt.Sprintf("%d/%d", mcs.Hits, mcs.Misses)},
 			[]string{"matchcache entries/evictions", fmt.Sprintf("%d/%d", mcs.Entries, mcs.Evictions)},
-		)
-	}
-	if pl := srv.Plan(); pl != nil {
-		pls := pl.Stats()
-		rows = append(rows,
-			[]string{"plan hit rate", fmt.Sprintf("%.1f%%", 100*pls.HitRate())},
-			[]string{"plan hits/misses", fmt.Sprintf("%d/%d", pls.Hits, pls.Misses)},
-			[]string{"plan entries/evictions", fmt.Sprintf("%d/%d", pls.Entries, pls.Evictions)},
 		)
 	}
 	table([]string{"metric", "value"}, rows)

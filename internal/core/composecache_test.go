@@ -30,17 +30,16 @@ func composeFixture(t *testing.T, seed int64) (*workload.Scenario, *rules.Spec, 
 }
 
 // TestComposedSpecCacheInvalidate checks that a composed spec is a
-// first-class citizen of the shared caches: translations through it
-// populate a MatchCache and a Plan under its own identity, Invalidate on
-// the composed spec removes exactly its entries while the hop specs'
-// entries survive, and re-translation after invalidation is byte-identical.
+// first-class citizen of the shared matchings cache: translations through
+// it populate a MatchCache under its own identity, Invalidate on the
+// composed spec removes exactly its entries while the hop specs' entries
+// survive, and re-translation after invalidation is byte-identical.
 func TestComposedSpecCacheInvalidate(t *testing.T) {
 	s, comp, qs := composeFixture(t, 5)
 	cache := core.NewMatchCache(0)
-	plan := core.NewPlan(0)
 
 	translate := func(spec *rules.Spec, q *qtree.Node) string {
-		tr := core.NewTranslator(spec, core.WithMatchCache(cache), core.WithPlan(plan))
+		tr := core.NewTranslator(spec, core.WithMatchCache(cache))
 		out, err := tr.Translate(q, core.AlgTDQM)
 		if err != nil {
 			t.Fatalf("translate: %v", err)
@@ -56,21 +55,14 @@ func TestComposedSpecCacheInvalidate(t *testing.T) {
 	if cache.Len() == 0 {
 		t.Fatalf("shared MatchCache stayed empty")
 	}
-	if plan.Len() == 0 {
-		t.Fatalf("shared Plan stayed empty")
-	}
 
-	cacheBefore, planBefore := cache.Len(), plan.Len()
+	cacheBefore := cache.Len()
 	nc := cache.Invalidate(comp)
-	np := plan.Invalidate(comp)
-	if nc == 0 || np == 0 {
-		t.Fatalf("Invalidate(composed) removed nothing: cache %d, plan %d", nc, np)
+	if nc == 0 {
+		t.Fatalf("Invalidate(composed) removed nothing")
 	}
 	if got, want := cache.Len(), cacheBefore-nc; got != want {
 		t.Fatalf("cache.Len() = %d after invalidation, want %d", got, want)
-	}
-	if got, want := plan.Len(), planBefore-np; got != want {
-		t.Fatalf("plan.Len() = %d after invalidation, want %d", got, want)
 	}
 	// The hop spec's entries must survive: invalidating the composed spec
 	// again removes nothing.
@@ -88,12 +80,13 @@ func TestComposedSpecCacheInvalidate(t *testing.T) {
 	}
 }
 
-// TestComposedSpecPlanEquivalence locks the plan contract on composed
-// specs: translations with a shared Plan (cold and warm) are byte-identical
-// to plan-free translations, including Stats.
+// TestComposedSpecPlanEquivalence locks the translation contract on
+// composed specs, whose compiled dispatch and static translation plan are
+// built from the composed rules: translations sharing one MatchCache (cold
+// and warm) are byte-identical to cache-free translations, including Stats.
 func TestComposedSpecPlanEquivalence(t *testing.T) {
 	_, comp, qs := composeFixture(t, 9)
-	plan := core.NewPlan(0)
+	cache := core.NewMatchCache(0)
 	for i, q := range qs {
 		bare := core.NewTranslator(comp)
 		wantQ, wantF, err := bare.TranslateWithFilter(q, core.AlgTDQM)
@@ -101,18 +94,21 @@ func TestComposedSpecPlanEquivalence(t *testing.T) {
 			t.Fatalf("q%d: bare: %v", i, err)
 		}
 		for pass := 0; pass < 2; pass++ {
-			tr := core.NewTranslator(comp, core.WithPlan(plan))
+			tr := core.NewTranslator(comp, core.WithMatchCache(cache))
 			gotQ, gotF, err := tr.TranslateWithFilter(q, core.AlgTDQM)
 			if err != nil {
-				t.Fatalf("q%d pass %d: planned: %v", i, pass, err)
+				t.Fatalf("q%d pass %d: cached: %v", i, pass, err)
 			}
 			if gotQ.String() != wantQ.String() || gotF.String() != wantF.String() {
-				t.Fatalf("q%d pass %d: planned translation differs\ngot  %s | %s\nwant %s | %s",
+				t.Fatalf("q%d pass %d: cached translation differs\ngot  %s | %s\nwant %s | %s",
 					i, pass, gotQ, gotF, wantQ, wantF)
 			}
 			if bare.Stats != tr.Stats {
-				t.Fatalf("q%d pass %d: Stats differ with plan: %+v vs %+v", i, pass, tr.Stats, bare.Stats)
+				t.Fatalf("q%d pass %d: Stats differ with the cache: %+v vs %+v", i, pass, tr.Stats, bare.Stats)
 			}
 		}
+	}
+	if cache.Stats().Hits == 0 {
+		t.Fatal("repeated composed-spec translations never hit the shared cache")
 	}
 }

@@ -89,13 +89,6 @@ type Translator struct {
 	// shared, when non-nil, is the cross-request matchings cache consulted
 	// after the translation-scoped memo (see SetMatchCache / MatchCache).
 	shared *MatchCache
-	// plan, when non-nil, is the cross-request translation plan: cached
-	// TDQM/PSafe/EDNF/SCM fragments looked up by exact query shape, with
-	// Stats and metrics replayed on hits (see SetPlan / Plan, plan.go).
-	// planFrames is the stack of open recording scopes accumulating the
-	// metric activity a cached fragment must replay.
-	plan       *Plan
-	planFrames []*planAgg
 	// scratch holds per-translator reusable buffers for the EDNF/PSafe
 	// allocation diet; forks get fresh scratch (see ednf.go, psafe.go).
 	scratch struct {

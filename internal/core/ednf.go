@@ -73,18 +73,6 @@ func (t *Translator) EDNF(q *qtree.Node, mp []*qtree.ConstraintSet) DNFExpr {
 		defer t.tracer.End()
 		sp.Set(obs.CtrEssentialDNFSize, t.essentialSize(q.Constraints()))
 	}
-	if t.planOK() {
-		key := planKeyEDNF(q, mp)
-		if e := t.planGet(key); e != nil {
-			t.planApply(e)
-			return e.expr
-		}
-		rec := t.planRecord()
-		d := t.ednfStep(q.Normalize(), mp)
-		rec.store(t, key, &planEntry{expr: d})
-		sp.Set(obs.CtrDisjuncts, int64(len(d)))
-		return d
-	}
 	d := t.ednfStep(q.Normalize(), mp)
 	sp.Set(obs.CtrDisjuncts, int64(len(d)))
 	return d

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"container/list"
 	"hash/maphash"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -41,10 +41,11 @@ type MatchCache struct {
 	seed   maphash.Seed
 
 	// admit, when non-nil, is the TinyLFU admission sketch: every lookup
-	// touches it, and a full shard only admits an insert whose estimated
-	// access frequency strictly exceeds its eviction victim's. The sketch
-	// is keyed by the canonical constraint-set key alone (not the spec
-	// pointer) — cross-spec frequency sharing is harmless noise in an
+	// touches it, a full shard only admits an insert whose estimated
+	// access frequency strictly exceeds its eviction victim's, and the
+	// shards' LRUs are segmented (see resilience.LRU). The sketch is keyed
+	// by the canonical constraint-set key alone (not the spec pointer) —
+	// cross-spec frequency sharing is harmless noise in an
 	// already-approximate estimate.
 	admit    *resilience.Sketch
 	rejected atomic.Uint64
@@ -61,21 +62,14 @@ const DefaultMatchCacheSize = 4096
 const matchCacheShards = 16
 
 type matchShard struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List                 // front = most recently used
-	items map[matchKey]*list.Element // key → element whose Value is *matchEntry
+	mu  sync.Mutex
+	lru *resilience.LRU[matchKey, memoEntry]
 }
 
 // matchKey scopes a canonical constraint-set key to one spec identity.
 type matchKey struct {
 	spec *rules.Spec
 	cs   string
-}
-
-type matchEntry struct {
-	key matchKey
-	memoEntry
 }
 
 // NewMatchCache returns a cache holding up to capacity matchings entries
@@ -90,7 +84,8 @@ func NewMatchCache(capacity int) *MatchCache {
 // victim's, so a flood of one-off constraint sets (scan-like traffic)
 // cannot wash out the hot working set. A refused insert changes nothing
 // for its caller — the derived matchings are still returned, just not
-// cached. Rejections are counted (AdmissionRejected).
+// cached. Rejections are counted (AdmissionRejected). The sketch's hash is
+// seeded at random per cache.
 func NewMatchCacheAdmission(capacity int, admission bool) *MatchCache {
 	if capacity <= 0 {
 		capacity = DefaultMatchCacheSize
@@ -101,21 +96,14 @@ func NewMatchCacheAdmission(capacity int, admission bool) *MatchCache {
 	}
 	c := &MatchCache{shards: make([]matchShard, n), seed: maphash.MakeSeed()}
 	if admission {
-		c.admit = resilience.NewSketch(capacity)
+		c.admit = resilience.NewSketch(capacity, rand.Uint64())
 	}
 	for i := range c.shards {
 		per := capacity / n
 		if i < capacity%n {
 			per++
 		}
-		if per < 1 {
-			per = 1
-		}
-		c.shards[i] = matchShard{
-			cap:   per,
-			ll:    list.New(),
-			items: make(map[matchKey]*list.Element, per),
-		}
+		c.shards[i].lru = resilience.NewLRU[matchKey, memoEntry](per, admission)
 	}
 	return c
 }
@@ -138,50 +126,32 @@ func (c *MatchCache) get(spec *rules.Spec, cs string) (memoEntry, bool) {
 	}
 	sh := c.shardFor(cs)
 	sh.mu.Lock()
-	el, ok := sh.items[matchKey{spec: spec, cs: cs}]
+	e, ok := sh.lru.Get(matchKey{spec: spec, cs: cs})
+	sh.mu.Unlock()
 	if !ok {
-		sh.mu.Unlock()
 		c.misses.Add(1)
 		return memoEntry{}, false
 	}
-	sh.ll.MoveToFront(el)
-	e := el.Value.(*matchEntry).memoEntry
-	sh.mu.Unlock()
 	c.hits.Add(1)
 	return e, true
 }
 
-// put inserts (or refreshes) the entry for (spec, cs), evicting least
-// recently used entries beyond the shard's capacity.
+// put inserts (or refreshes) the entry for (spec, cs), evicting the
+// shard's LRU victim when the shard is full.
 func (c *MatchCache) put(spec *rules.Spec, cs string, ms []*rules.Matching, probed int) {
-	key := matchKey{spec: spec, cs: cs}
+	var admit func(candidate, victim matchKey) bool
+	if c.admit != nil {
+		admit = func(candidate, victim matchKey) bool { return c.admit.Admit(candidate.cs, victim.cs) }
+	}
 	sh := c.shardFor(cs)
 	sh.mu.Lock()
-	if el, ok := sh.items[key]; ok {
-		sh.ll.MoveToFront(el)
-		el.Value.(*matchEntry).memoEntry = memoEntry{ms: ms, probed: probed}
-		sh.mu.Unlock()
-		return
-	}
-	if c.admit != nil && sh.ll.Len() >= sh.cap {
-		victim := sh.ll.Back().Value.(*matchEntry).key.cs
-		if !c.admit.Admit(cs, victim) {
-			sh.mu.Unlock()
-			c.rejected.Add(1)
-			return
-		}
-	}
-	sh.items[key] = sh.ll.PushFront(&matchEntry{key: key, memoEntry: memoEntry{ms: ms, probed: probed}})
-	evicted := 0
-	for sh.ll.Len() > sh.cap {
-		oldest := sh.ll.Back()
-		sh.ll.Remove(oldest)
-		delete(sh.items, oldest.Value.(*matchEntry).key)
-		evicted++
-	}
+	added, evicted := sh.lru.Add(matchKey{spec: spec, cs: cs}, memoEntry{ms: ms, probed: probed}, admit)
 	sh.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(uint64(evicted))
+	if !added {
+		c.rejected.Add(1)
+	}
+	if evicted {
+		c.evictions.Add(1)
 	}
 }
 
@@ -202,13 +172,7 @@ func (c *MatchCache) Invalidate(spec *rules.Spec) int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for key, el := range sh.items {
-			if key.spec == spec {
-				sh.ll.Remove(el)
-				delete(sh.items, key)
-				removed++
-			}
-		}
+		removed += sh.lru.DeleteFunc(func(k matchKey) bool { return k.spec == spec })
 		sh.mu.Unlock()
 	}
 	return removed
@@ -220,7 +184,7 @@ func (c *MatchCache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.ll.Len()
+		n += sh.lru.Len()
 		sh.mu.Unlock()
 	}
 	return n

@@ -100,12 +100,35 @@ func TestMatchCacheSharding(t *testing.T) {
 	}
 	total := 0
 	for i := range c.shards {
-		total += c.shards[i].cap
+		total += c.shards[i].lru.Cap()
 	}
 	if total != 100 {
 		t.Errorf("shard capacities sum to %d, want 100", total)
 	}
 	if def := NewMatchCache(0); len(def.shards) != matchCacheShards {
 		t.Errorf("NewMatchCache(0) built %d shards, want %d", len(def.shards), matchCacheShards)
+	}
+}
+
+// TestMatchCacheAdmissionEvictsProbationFirst pins the admission victim
+// rule on a shard: an entry hit since insertion outlives a hotter newcomer
+// while an entry never hit is there to be displaced instead.
+func TestMatchCacheAdmissionEvictsProbationFirst(t *testing.T) {
+	spec := testSpec(t, "s1")
+	c := NewMatchCacheAdmission(2, true)
+	c.get(spec, "hot")
+	c.put(spec, "hot", nil, 1)
+	c.get(spec, "hot") // a hit: protected from now on
+	c.get(spec, "cold")
+	c.put(spec, "cold", nil, 2) // never hit: the shard's victim
+	for i := 0; i < 3; i++ {
+		c.get(spec, "new") // more frequent than either resident
+	}
+	c.put(spec, "new", nil, 3)
+	if _, ok := c.get(spec, "hot"); !ok {
+		t.Fatal("admission evicted the protected entry; want the never-hit one")
+	}
+	if n := c.Len(); n != 2 {
+		t.Errorf("Len() = %d, want 2", n)
 	}
 }

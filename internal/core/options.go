@@ -34,13 +34,6 @@ func WithMatchCache(c *MatchCache) Option {
 	return func(t *Translator) { t.shared = c }
 }
 
-// WithPlan attaches a shared cross-request translation plan (nil detaches).
-// Results, Stats, metrics, and traces are identical with or without one;
-// see Plan.
-func WithPlan(p *Plan) Option {
-	return func(t *Translator) { t.plan = p }
-}
-
 // WithTracer attaches a span tracer recording the full derivation call
 // tree (nil detaches). A nil tracer is a no-op.
 func WithTracer(tr *obs.Tracer) Option {

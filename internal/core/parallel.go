@@ -32,27 +32,19 @@ func (t *Translator) parallelEligible(n int) bool {
 // The child starts at depth 1 so its structural calls never create or drop
 // the shared memo.
 func (t *Translator) fork() *Translator {
-	sub := &Translator{
+	return &Translator{
 		Spec:          t.Spec,
 		fullDNFSafety: t.fullDNFSafety,
 		compiledOff:   t.compiledOff,
 		memoOff:       t.memoOff,
 		memo:          t.memo,
 		shared:        t.shared,
-		plan:          t.plan,
 		metrics:       t.metrics,
 		workers:       t.workers,
 		sem:           t.sem,
 		depth:         1,
 		residueClean:  true,
 	}
-	if len(t.planFrames) > 0 {
-		// The fan-out runs inside an open plan recording: give the child a
-		// base frame so its metric activity is captured and folded back into
-		// the parent's frame at merge (see planAgg).
-		sub.planFrames = []*planAgg{{}}
-	}
-	return sub
 }
 
 // merge folds a finished branch translator's accounting back into t.
@@ -68,11 +60,6 @@ func (t *Translator) merge(sub *Translator) {
 	t.memoStats.Hits += sub.memoStats.Hits
 	t.memoStats.Misses += sub.memoStats.Misses
 	t.residueClean = t.residueClean && sub.residueClean
-	if len(sub.planFrames) == 1 {
-		if f := t.frameTop(); f != nil {
-			f.fold(sub.planFrames[0])
-		}
-	}
 }
 
 // mapBranches maps every branch through fn on a forked translator, running

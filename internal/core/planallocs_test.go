@@ -7,36 +7,27 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPlanAllocCeilings pins allocation budgets for the translation-plan
-// work: a warm plan hit must stay two orders of magnitude below the
-// interpretive path (it only builds shape keys and replays recorded
-// results), and the interpretive path itself must hold the gains from the
-// pooled simplifyEDNF nullification scratch and the reused product-term
-// constraint set in PSafe's scan. Measured values at the time of writing:
-// warm ≈ 277, interpretive e=2 ≈ 80.3k, interpretive e=0 ≈ 3.9k; ceilings
-// carry ~30% headroom so incidental churn doesn't flake, while an accidental
-// un-pooling (or a plan hit that re-runs the algorithm) trips them
-// immediately.
+// TestPlanAllocCeilings pins TDQM's allocation budgets on the
+// dependency-degree fixture: the interpretive path must hold the gains from
+// the spec's static translation plan (rules.TranslationPlan), the pooled
+// simplifyEDNF nullification scratch and the reused product-term constraint
+// set in PSafe's scan. Measured values at the time of writing: e=2 ≈ 80.3k,
+// e=0 ≈ 3.9k; ceilings carry ~30% headroom so incidental churn doesn't
+// flake, while an accidental un-pooling trips them immediately.
 func TestPlanAllocCeilings(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		e       int
-		planned bool
 		ceiling float64
 		runs    int
 	}{
-		{"warm-plan/e=2/k=8", 2, true, 400, 50},
-		{"interpretive/e=2/k=8", 2, false, 105_000, 10},
-		{"interpretive/e=0/k=8", 0, false, 5_500, 20},
+		{"interpretive/e=2/k=8", 2, 105_000, 10},
+		{"interpretive/e=0/k=8", 0, 5_500, 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, q := workload.DependencyConjunction(4, 8, tc.e)
-			var opts []core.Option
-			if tc.planned {
-				opts = append(opts, core.WithPlan(core.NewPlan(0)))
-			}
-			tr := core.NewTranslator(s.Spec, opts...)
-			if _, err := tr.TDQM(q); err != nil { // warm-up: populates the plan
+			tr := core.NewTranslator(s.Spec)
+			if _, err := tr.TDQM(q); err != nil { // warm-up: compiles the spec
 				t.Fatal(err)
 			}
 			got := testing.AllocsPerRun(tc.runs, func() {

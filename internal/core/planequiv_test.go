@@ -1,80 +1,50 @@
 package core_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"repro/internal/conformance"
 	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
-// newTranslationMetrics builds a fresh registry+metrics pair, and scrape
-// renders the registry's full Prometheus exposition for byte comparison.
-func newTranslationMetrics(t *testing.T) (*obs.Registry, *obs.TranslationMetrics) {
-	t.Helper()
-	reg := obs.NewRegistry()
-	return reg, obs.NewTranslationMetrics(reg)
-}
-
-func scrape(t *testing.T, reg *obs.Registry) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	return buf.String()
-}
-
-// planGrid is the translator-configuration grid the differential suite runs
-// under: every combination of the translation-scoped memo, the shared
-// MatchCache, and branch-mapping parallelism.
-var planGrid = []struct {
-	memo  bool
-	cache bool
-	par   int
+// translatorGrid is the translator-configuration grid the differential suite runs
+// under: every combination of the translation-scoped memo and
+// branch-mapping parallelism.
+var translatorGrid = []struct {
+	memo bool
+	par  int
 }{
-	{true, false, 0},
-	{false, false, 0},
-	{true, true, 0},
-	{false, true, 0},
-	{true, false, 4},
-	{true, true, 4},
+	{true, 0},
+	{false, 0},
+	{true, 4},
+	{false, 4},
 }
 
-// TestPlanEquivalenceConformance is the differential plan-equivalence
-// contract: across ≥40 conformance seeds and a {memo, MatchCache,
-// parallelism} grid, translation with a cold shared Plan and with a warm one
-// produces byte-identical mapped queries and residues (exact String
-// equality, not just canonical equivalence — plan keys are exact renderings,
-// so a hit must reproduce precisely the translation the interpretive path
-// yields) and, because every hit replays its recorded Stats delta, Stats
-// identical to a plan-free run. The plan must be observable only through
-// PlanStats.
+// TestPlanEquivalenceConformance is the differential contract of the
+// cross-request matchings cache under every translator configuration:
+// across ≥40 conformance seeds and a {memo, parallelism} grid, translation
+// with a cold shared MatchCache and with a warm one produces mapped queries
+// and residues byte-identical (exact String equality, not just canonical
+// equivalence) to a cache-free run of the same configuration, and, because
+// every hit compensates the work counters, identical Stats. The cache must
+// be observable only through MatchCacheStats.
 func TestPlanEquivalenceConformance(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		c := conformance.NewCase(seed)
-		for _, g := range planGrid {
-			name := fmt.Sprintf("seed %d memo=%v cache=%v par=%d", seed, g.memo, g.cache, g.par)
-			opts := func() []core.Option {
-				o := []core.Option{core.WithMemo(g.memo), core.WithParallelism(g.par)}
-				if g.cache {
-					o = append(o, core.WithMatchCache(core.NewMatchCache(0)))
-				}
-				return o
-			}
+		for _, g := range translatorGrid {
+			name := fmt.Sprintf("seed %d memo=%v par=%d", seed, g.memo, g.par)
+			opts := []core.Option{core.WithMemo(g.memo), core.WithParallelism(g.par)}
 
-			base := core.NewTranslator(c.S.Spec, opts()...)
+			base := core.NewTranslator(c.S.Spec, opts...)
 			wantQ, wantF, wantErr := base.TranslateWithFilter(c.Query, core.AlgTDQM)
 
-			plan := core.NewPlan(0)
+			cache := core.NewMatchCache(0)
 			for _, variant := range []string{"cold", "warm"} {
-				tr := core.NewTranslator(c.S.Spec, append(opts(), core.WithPlan(plan))...)
+				tr := core.NewTranslator(c.S.Spec, append(opts, core.WithMatchCache(cache))...)
 				gotQ, gotF, gotErr := tr.TranslateWithFilter(c.Query, core.AlgTDQM)
 				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s %s: err=%v, plan-free err=%v", name, variant, gotErr, wantErr)
+					t.Fatalf("%s %s: err=%v, cache-free err=%v", name, variant, gotErr, wantErr)
 				}
 				if wantErr != nil {
 					continue
@@ -88,91 +58,15 @@ func TestPlanEquivalenceConformance(t *testing.T) {
 						name, variant, gotF, wantF)
 				}
 				if tr.Stats != base.Stats {
-					t.Errorf("%s %s: Stats diverged from plan-free run\n got: %+v\nwant: %+v",
+					t.Errorf("%s %s: Stats diverged from cache-free run\n got: %+v\nwant: %+v",
 						name, variant, tr.Stats, base.Stats)
 				}
 			}
 			if wantErr == nil {
-				if st := plan.Stats(); st.Hits == 0 {
-					t.Errorf("%s: warm plan run recorded no hits", name)
+				if st := cache.Stats(); st.Hits == 0 {
+					t.Errorf("%s: warm cache run recorded no hits", name)
 				}
 			}
-		}
-	}
-}
-
-// TestPlanEquivalenceSweep repeats the differential check on the
-// dependency-degree sweep fixture — the e>0 workloads the plan was built to
-// accelerate — asserting warm-plan output, Stats, and PSafe partitions stay
-// byte-identical to the interpretive path.
-func TestPlanEquivalenceSweep(t *testing.T) {
-	for _, e := range []int{0, 1, 2} {
-		for _, k := range []int{2, 4, 8} {
-			s, q := workload.DependencyConjunction(4, k, e)
-			name := fmt.Sprintf("e=%d k=%d", e, k)
-
-			base := core.NewTranslator(s.Spec)
-			wantQ, err := base.TDQM(q)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-
-			plan := core.NewPlan(0)
-			tr := core.NewTranslator(s.Spec, core.WithPlan(plan))
-			for pass := 0; pass < 3; pass++ {
-				tr.ResetStats()
-				gotQ, err := tr.TDQM(q)
-				if err != nil {
-					t.Fatalf("%s pass %d: %v", name, pass, err)
-				}
-				if gotQ.String() != wantQ.String() {
-					t.Errorf("%s pass %d: mapped query not byte-identical\n got: %s\nwant: %s",
-						name, pass, gotQ, wantQ)
-				}
-				if tr.Stats != base.Stats {
-					t.Errorf("%s pass %d: Stats diverged\n got: %+v\nwant: %+v",
-						name, pass, tr.Stats, base.Stats)
-				}
-			}
-			if plan.Stats().Hits == 0 {
-				t.Errorf("%s: repeated translations never hit the plan", name)
-			}
-		}
-	}
-}
-
-// TestPlanMetricsParity asserts the cumulative TranslationMetrics counters
-// advance identically plan-on (warm) and plan-off: a hit replays the
-// recorded rule-fire/suppression/SCM/PSafe/Disjunctivize/product-term
-// activity it suppressed.
-func TestPlanMetricsParity(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		c := conformance.NewCase(seed)
-
-		exposition := func(withPlan bool) string {
-			reg, m := newTranslationMetrics(t)
-			opts := []core.Option{core.WithMetrics(m)}
-			if withPlan {
-				plan := core.NewPlan(0)
-				// Warm the plan with a metrics-free run so the measured run
-				// below replays recorded fragments.
-				warm := core.NewTranslator(c.S.Spec, core.WithPlan(plan))
-				if _, _, err := warm.TranslateWithFilter(c.Query, core.AlgTDQM); err != nil {
-					t.Fatalf("seed %d: warming: %v", seed, err)
-				}
-				opts = append(opts, core.WithPlan(plan))
-			}
-			tr := core.NewTranslator(c.S.Spec, opts...)
-			if _, _, err := tr.TranslateWithFilter(c.Query, core.AlgTDQM); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			return scrape(t, reg)
-		}
-
-		on, off := exposition(true), exposition(false)
-		if on != off {
-			t.Errorf("seed %d: metrics diverge plan-on vs plan-off\n on: %s\noff: %s",
-				seed, on, off)
 		}
 	}
 }

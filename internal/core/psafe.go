@@ -51,36 +51,11 @@ func (p *Partition) String() string {
 // set of candidate blocks covering all cross-matchings, merges overlapping
 // blocks, and completes the partition with singleton blocks.
 //
-// With a translation plan attached, repeated conjunct shapes replay the
-// recorded partition instead of re-running the scan; the spec's static
-// feature-pair adjacency additionally proves many shapes separable without
-// scanning at all (see staticallySeparable).
+// The spec's static feature-pair adjacency proves many shapes separable
+// without scanning at all (see staticallySeparable).
 func (t *Translator) PSafe(conjuncts []*qtree.Node) (*Partition, error) {
-	if t.planOK() {
-		key := planKeyPSafe(conjuncts)
-		if e := t.planGet(key); e != nil {
-			t.planApply(e)
-			return e.part, nil
-		}
-		rec := t.planRecord()
-		p, err := t.psafeBody(conjuncts)
-		if err != nil {
-			rec.abort(t)
-			return nil, err
-		}
-		rec.store(t, key, &planEntry{part: p})
-		return p, nil
-	}
-	return t.psafeBody(conjuncts)
-}
-
-// psafeBody is the plan-independent Algorithm PSafe implementation.
-func (t *Translator) psafeBody(conjuncts []*qtree.Node) (*Partition, error) {
 	t.Stats.PSafeCalls++
 	t.metrics.PSafeCall(t.Spec.Name)
-	if f := t.frameTop(); f != nil {
-		f.psafeCalls++
-	}
 	n := len(conjuncts)
 	all := qtree.NewConstraintSet()
 	for _, c := range conjuncts {
@@ -193,11 +168,7 @@ func (t *Translator) psafeBody(conjuncts []*qtree.Node) (*Partition, error) {
 		p.Blocks = append(p.Blocks, blk)
 	}
 	p.Separable = len(p.Blocks) == n
-	diff := t.Stats.ProductTerms - startTerms
-	t.metrics.ProductTerms(t.Spec.Name, diff)
-	if f := t.frameTop(); f != nil {
-		f.productTerms += diff
-	}
+	t.metrics.ProductTerms(t.Spec.Name, t.Stats.ProductTerms-startTerms)
 	if sp != nil {
 		sp.Set(obs.CtrBlocks, int64(len(p.Blocks)))
 		sp.Set(obs.CtrCrossMatchings, int64(p.CrossMatchings))

@@ -27,31 +27,8 @@ type SCMResult struct {
 // (3) conjoin the emissions of the remaining matchings. Constraints covered
 // by no matching map to True.
 func (t *Translator) SCM(cs []*qtree.Constraint) (*SCMResult, error) {
-	if t.planOK() {
-		key := planKeySCM(cs)
-		if e := t.planGet(key); e != nil {
-			t.planApply(e)
-			return e.scm, nil
-		}
-		rec := t.planRecord()
-		res, err := t.scmBody(cs)
-		if err != nil {
-			rec.abort(t)
-			return nil, err
-		}
-		rec.store(t, key, &planEntry{scm: res})
-		return res, nil
-	}
-	return t.scmBody(cs)
-}
-
-// scmBody is the plan-independent Algorithm SCM implementation.
-func (t *Translator) scmBody(cs []*qtree.Constraint) (*SCMResult, error) {
 	t.Stats.SCMCalls++
 	t.metrics.SCMCall(t.Spec.Name)
-	if f := t.frameTop(); f != nil {
-		f.scmCalls++
-	}
 	var (
 		sp         *obs.Span
 		matchSpans map[string]*obs.Span
@@ -73,7 +50,7 @@ func (t *Translator) scmBody(cs []*qtree.Constraint) (*SCMResult, error) {
 	}
 	ms := rules.SuppressSubmatchings(all)
 	t.traceSCM(cs, all, ms)
-	if sp != nil || t.metrics != nil || t.frameTop() != nil {
+	if sp != nil || t.metrics != nil {
 		t.accountSuppression(sp, matchSpans, all, ms)
 	}
 
@@ -122,21 +99,14 @@ func (t *Translator) accountSuppression(sp *obs.Span, matchSpans map[string]*obs
 		sp.Set(obs.CtrKept, int64(len(ms)))
 		sp.Set(obs.CtrSuppressed, int64(len(all)-len(ms)))
 	}
-	f := t.frameTop()
 	for _, m := range all {
 		msp := matchSpans[m.Rule.Name] // nil when untraced; Add is nil-safe
 		if kept[m] {
 			msp.Add(obs.CtrKept, 1)
 			t.metrics.RuleFired(t.Spec.Name, m.Rule.Name)
-			if f != nil {
-				f.addFired(m.Rule.Name, 1)
-			}
 		} else {
 			msp.Add(obs.CtrSuppressed, 1)
 			t.metrics.RuleSuppressed(t.Spec.Name, m.Rule.Name)
-			if f != nil {
-				f.addSuppressed(m.Rule.Name, 1)
-			}
 		}
 	}
 }

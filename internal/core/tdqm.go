@@ -27,27 +27,6 @@ func (t *Translator) TDQM(q *qtree.Node) (*qtree.Node, error) {
 		sp.Set(obs.CtrQuerySize, int64(q.Size()))
 		sp.Set(obs.CtrEssentialDNFSize, t.essentialSize(cs))
 	}
-	if t.planOK() {
-		key := planKeyTDQM(q)
-		if e := t.planGet(key); e != nil {
-			t.planApply(e)
-			return e.node, nil
-		}
-		rec := t.planRecord()
-		out, err := t.tdqmBody(q)
-		if err != nil {
-			rec.abort(t)
-			return nil, err
-		}
-		rec.store(t, key, &planEntry{node: out})
-		return out, nil
-	}
-	return t.tdqmBody(q)
-}
-
-// tdqmBody is the plan-independent TDQM case analysis over a normalized
-// query.
-func (t *Translator) tdqmBody(q *qtree.Node) (*qtree.Node, error) {
 	switch {
 	case q.Kind == qtree.KindOr:
 		// Case-1: disjuncts are always separable — map them concurrently
@@ -97,9 +76,6 @@ func (t *Translator) tdqmBody(q *qtree.Node) (*qtree.Node, error) {
 			} else {
 				t.Stats.Disjunctivizations++
 				t.metrics.Disjunctivization(t.Spec.Name)
-				if f := t.frameTop(); f != nil {
-					f.disjunctivizations++
-				}
 				b = qtree.Disjunctivize(conj)
 				t.traceRewrite(conj, b)
 			}

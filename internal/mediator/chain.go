@@ -126,7 +126,6 @@ func (m *Mediator) chainDebugTranslate(src *sources.Source, q *qtree.Node, alg s
 		core.WithMetrics(m.Metrics),
 		core.WithParallelism(m.Parallelism),
 		core.WithMatchCache(m.MatchCache),
-		core.WithPlan(m.Plan),
 	}
 	ctx := obs.WithTracer(context.Background(), tracer)
 	mapped, stats, err := ch.SequentialTranslate(ctx, q, alg, opts...)

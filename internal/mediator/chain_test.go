@@ -74,11 +74,11 @@ func subsetRel(t *testing.T, label string, small, big *engine.Relation) {
 }
 
 // TestChainGridEquivalence is the composed-vs-sequential equivalence grid:
-// 40 seeds × {baseline, memo off, shared MatchCache, shared Plan,
-// parallelism}, each checking on every query that the sequential two-hop
-// translation and the composed one-hop translation nest raw
-// (σ_seq ⊆ σ_comp), both subsume the truth, and both are byte-identical to
-// the truth after filtering with Q. CI runs this under -race.
+// 40 seeds × {baseline, memo off, shared MatchCache, parallelism}, each
+// checking on every query that the sequential two-hop translation and the
+// composed one-hop translation nest raw (σ_seq ⊆ σ_comp), both subsume the
+// truth, and both are byte-identical to the truth after filtering with Q.
+// CI runs this under -race.
 func TestChainGridEquivalence(t *testing.T) {
 	type variant struct {
 		name string
@@ -88,7 +88,6 @@ func TestChainGridEquivalence(t *testing.T) {
 		{"baseline", func() []core.Option { return nil }},
 		{"memo-off", func() []core.Option { return []core.Option{core.WithMemo(false)} }},
 		{"matchcache", func() []core.Option { return []core.Option{core.WithMatchCache(core.NewMatchCache(0))} }},
-		{"plan", func() []core.Option { return []core.Option{core.WithPlan(core.NewPlan(0))} }},
 		{"par", func() []core.Option { return []core.Option{core.WithParallelism(4)} }},
 	}
 	for seed := int64(1); seed <= 40; seed++ {

@@ -67,12 +67,6 @@ type Mediator struct {
 	// Translations are identical with or without it; internal/serve wires
 	// one in by default.
 	MatchCache *core.MatchCache
-	// Plan, when non-nil, is the shared cross-request translation plan every
-	// translator this mediator creates consults (core.Plan): cached
-	// TDQM/PSafe/EDNF/SCM fragments keyed by exact query shape. Results,
-	// Stats, metrics, and traces are identical with or without it;
-	// internal/serve wires one in by default.
-	Plan *core.Plan
 	// Chains maps source name → the offline-composed mapping chain behind
 	// that source (see AddChainSource). Translation normally goes through
 	// the single composed spec; ChainDebug replays the original hops.
@@ -169,8 +163,7 @@ func (m *Mediator) translate(q *qtree.Node, tracer *obs.Tracer) (*Translation, e
 			core.WithTracer(tracer),
 			core.WithMetrics(m.Metrics),
 			core.WithParallelism(m.Parallelism),
-			core.WithMatchCache(m.MatchCache),
-			core.WithPlan(m.Plan))
+			core.WithMatchCache(m.MatchCache))
 	}
 	startSource := func(src *sources.Source) {
 		if tracer != nil {

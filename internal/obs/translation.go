@@ -127,56 +127,3 @@ func (m *TranslationMetrics) ComposeTranslation(spec, mode string) {
 		"qmap_compose_translations_total", "Translations through composed chain specs.",
 		"spec", spec, "mode", mode).Inc()
 }
-
-// The N-variants below add a precomputed count in one call. core's
-// translation plan records the metric activity of a translation fragment
-// and replays it on a plan hit, so the cumulative counters are identical
-// with the plan on or off; all are no-ops for n <= 0.
-
-// RuleFiredN counts n retained matchings of the named rule.
-func (m *TranslationMetrics) RuleFiredN(spec, rule string, n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.counter("f\x00"+spec+"\x00"+rule,
-		"qmap_rule_fires_total", "Rule matchings retained after submatching suppression.",
-		"spec", spec, "rule", rule).Add(uint64(n))
-}
-
-// RuleSuppressedN counts n suppressed matchings of the named rule.
-func (m *TranslationMetrics) RuleSuppressedN(spec, rule string, n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.counter("s\x00"+spec+"\x00"+rule,
-		"qmap_rule_suppressed_total", "Rule matchings suppressed as submatchings of larger ones.",
-		"spec", spec, "rule", rule).Add(uint64(n))
-}
-
-// SCMCallN counts n Algorithm SCM invocations for spec.
-func (m *TranslationMetrics) SCMCallN(spec string, n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.counter("scm\x00"+spec,
-		"qmap_scm_calls_total", "Algorithm SCM invocations.", "spec", spec).Add(uint64(n))
-}
-
-// PSafeCallN counts n Algorithm PSafe invocations for spec.
-func (m *TranslationMetrics) PSafeCallN(spec string, n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.counter("psafe\x00"+spec,
-		"qmap_psafe_calls_total", "Algorithm PSafe invocations.", "spec", spec).Add(uint64(n))
-}
-
-// DisjunctivizationN counts n local structure rewrites for spec.
-func (m *TranslationMetrics) DisjunctivizationN(spec string, n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.counter("dz\x00"+spec,
-		"qmap_disjunctivizations_total", "Local Disjunctivize structure rewrites.",
-		"spec", spec).Add(uint64(n))
-}

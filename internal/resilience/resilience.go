@@ -24,10 +24,14 @@
 //     count-min sketch with periodic aging that lets a cache reject
 //     insertions whose estimated frequency is below the eviction victim's,
 //     so one-off scan traffic cannot wash out the hot working set.
+//   - LRU is the bounded cache the sketch guards, segmented under
+//     admission so a falsely admitted key cannot evict the working set
+//     one entry after another.
 //
-// Everything here is stdlib-only, safe for concurrent use, and — like every
-// optimization layer in this repository — semantics-preserving: breakers,
-// retries, and hedges only ever re-run or refuse pure per-source
-// executions, so a clean (fault-free) run produces answers byte-identical
-// to the unprotected path.
+// Everything here is stdlib-only, safe for concurrent use (except LRU,
+// which its caller locks), and — like every optimization layer in this
+// repository — semantics-preserving: breakers, retries, and hedges only
+// ever re-run or refuse pure per-source executions, so a clean
+// (fault-free) run produces answers byte-identical to the unprotected
+// path.
 package resilience

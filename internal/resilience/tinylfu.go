@@ -1,9 +1,6 @@
 package resilience
 
-import (
-	"hash/maphash"
-	"sync"
-)
+import "sync"
 
 // sketchHashes is the number of count-min rows collapsed into one array:
 // each key increments sketchHashes counters at positions derived from a
@@ -28,7 +25,7 @@ type Sketch struct {
 	mu       sync.Mutex
 	counters []byte // two 4-bit counters per byte
 	mask     uint64 // len(counters)*2 - 1; power-of-two slot count
-	seed     maphash.Seed
+	seed     uint64
 	samples  int // touches since the last halving
 	limit    int // halve when samples reaches this
 }
@@ -37,8 +34,9 @@ type Sketch struct {
 // slot count is the next power of two at or above 8× capacity (counter
 // space an order beyond the cache keeps collision noise below the 1-bit
 // resolution the Admit comparison needs), and the aging period is 10×
-// capacity touches.
-func NewSketch(capacity int) *Sketch {
+// capacity touches. seed selects the hash function, so the same seed
+// reproduces the same collisions.
+func NewSketch(capacity int, seed uint64) *Sketch {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -49,15 +47,15 @@ func NewSketch(capacity int) *Sketch {
 	return &Sketch{
 		counters: make([]byte, slots/2),
 		mask:     uint64(slots - 1),
-		seed:     maphash.MakeSeed(),
+		seed:     seed,
 		limit:    capacity * 10,
 	}
 }
 
 // positions derives the sketchHashes counter slots for key via double
-// hashing of one 64-bit maphash draw.
+// hashing of one seeded 64-bit hash.
 func (s *Sketch) positions(key string) [sketchHashes]uint64 {
-	h := maphash.String(s.seed, key)
+	h := hash64(s.seed, key)
 	h1, h2 := h, h>>32|h<<32
 	var pos [sketchHashes]uint64
 	for i := range pos {
@@ -148,4 +146,20 @@ func (s *Sketch) Admit(candidate, victim string) bool {
 	}
 	s.mu.Unlock()
 	return c > v
+}
+
+// hash64 is a seeded 64-bit string hash: FNV-1a over the bytes, started
+// from the seed, then the SplitMix64 finalizer so every state bit reaches
+// every output bit (FNV alone mixes its low bits poorly).
+func hash64(seed uint64, s string) uint64 {
+	h := seed ^ 0xcbf29ce484222325
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 0x100000001b3
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
 }

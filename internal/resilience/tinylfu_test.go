@@ -7,7 +7,7 @@ import (
 )
 
 func TestSketchEstimateGrows(t *testing.T) {
-	s := NewSketch(64)
+	s := NewSketch(64, 1)
 	if got := s.Estimate("cold"); got != 0 {
 		t.Fatalf("untouched Estimate = %d, want 0", got)
 	}
@@ -21,7 +21,7 @@ func TestSketchEstimateGrows(t *testing.T) {
 }
 
 func TestSketchSaturates(t *testing.T) {
-	s := NewSketch(1 << 10) // large limit: no aging during this test
+	s := NewSketch(1<<10, 1) // large limit: no aging during this test
 	for i := 0; i < 100; i++ {
 		s.Touch("k")
 	}
@@ -31,7 +31,7 @@ func TestSketchSaturates(t *testing.T) {
 }
 
 func TestSketchAgingHalves(t *testing.T) {
-	s := NewSketch(1)
+	s := NewSketch(1, 1)
 	s.limit = 20 // halve after 20 touches
 	for i := 0; i < 10; i++ {
 		s.Touch("k")
@@ -50,7 +50,7 @@ func TestSketchAgingHalves(t *testing.T) {
 }
 
 func TestSketchAdmitProtectsHotVictim(t *testing.T) {
-	s := NewSketch(64)
+	s := NewSketch(64, 1)
 	for i := 0; i < 4; i++ {
 		s.Touch("victim")
 	}
@@ -74,7 +74,7 @@ func TestSketchAdmitProtectsHotVictim(t *testing.T) {
 func TestSketchScanResistance(t *testing.T) {
 	// A resident working set touched repeatedly must win admission
 	// comparisons against a flood of one-off scan keys.
-	s := NewSketch(128)
+	s := NewSketch(128, 1)
 	hot := make([]string, 16)
 	for i := range hot {
 		hot[i] = fmt.Sprintf("hot-%d", i)
@@ -100,7 +100,7 @@ func TestSketchScanResistance(t *testing.T) {
 }
 
 func TestSketchConcurrentSmoke(t *testing.T) {
-	s := NewSketch(256)
+	s := NewSketch(256, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

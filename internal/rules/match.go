@@ -61,8 +61,11 @@ func matchRule(r *Rule, cs []*qtree.Constraint, reg *Registry) ([]*Matching, err
 			if err != nil {
 				return err
 			}
-			if m != nil && !seen[m.ID()] {
-				seen[m.ID()] = true
+			if m == nil {
+				return nil
+			}
+			if id := m.ID(); !seen[id] {
+				seen[id] = true
 				out = append(out, m)
 			}
 			return nil

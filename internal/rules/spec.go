@@ -16,9 +16,9 @@ import (
 //
 // Immutability contract: a Spec must not be modified after its first use.
 // The compiled dispatch engine (Compiled), the translation plan
-// (TranslationPlan), core's cross-request MatchCache, and core's Plan all
-// key cached work to the Spec pointer on the assumption that the rule set
-// is frozen; mutating Rules after any of them has observed the spec would
+// (TranslationPlan), and core's cross-request MatchCache all key cached
+// work to the Spec pointer on the assumption that the rule set is frozen;
+// mutating Rules after any of them has observed the spec would
 // silently serve stale matchings. Compiled snapshots the rule slice on
 // first compilation and panics if a later call finds it changed, turning
 // that silent corruption into an immediate, attributable failure. To vary a

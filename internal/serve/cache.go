@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/mediator"
@@ -13,33 +12,23 @@ import (
 // shared between callers and treated as immutable.
 type lruCache struct {
 	mu        sync.Mutex
-	cap       int
-	ll        *list.List               // front = most recently used
-	items     map[string]*list.Element // key → element whose Value is *lruEntry
+	lru       *resilience.LRU[string, *mediator.Translation]
 	evictions uint64
 	// admit, when non-nil, is the TinyLFU admission sketch: every Get
-	// touches it (hits and misses both build frequency), and a full cache
-	// only admits an insert whose estimated frequency strictly exceeds the
-	// eviction victim's.
+	// touches it (hits and misses both build frequency), a full cache only
+	// admits an insert whose estimated frequency strictly exceeds the
+	// eviction victim's, and the LRU is segmented (see resilience.LRU).
 	admit    *resilience.Sketch
 	rejected uint64
 }
 
-type lruEntry struct {
-	key string
-	val *mediator.Translation
-}
-
-func newLRU(capacity int, admission bool) *lruCache {
-	c := &lruCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
+// newLRU returns a cache of the given capacity; admit, when non-nil, turns
+// on TinyLFU admission.
+func newLRU(capacity int, admit *resilience.Sketch) *lruCache {
+	return &lruCache{
+		lru:   resilience.NewLRU[string, *mediator.Translation](capacity, admit != nil),
+		admit: admit,
 	}
-	if admission {
-		c.admit = resilience.NewSketch(capacity)
-	}
-	return c
 }
 
 // Get returns the cached translation for key, promoting it to most
@@ -52,39 +41,26 @@ func (c *lruCache) Get(key string) (*mediator.Translation, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	return c.lru.Get(key)
 }
 
-// Add inserts (or refreshes) key, evicting the least recently used entries
-// beyond capacity. With admission on, a full cache refuses the insert when
-// the candidate's estimated frequency does not strictly exceed the
-// would-be victim's — the caller still gets its value, it just isn't
-// cached — so one-off scan keys cannot evict the hot working set.
+// Add inserts (or refreshes) key, evicting the LRU's victim when full. With
+// admission on, a full cache refuses the insert when the candidate's
+// estimated frequency does not strictly exceed the victim's — the caller
+// still gets its value, it just isn't cached — so one-off scan keys cannot
+// evict the hot working set.
 func (c *lruCache) Add(key string, v *mediator.Translation) {
+	var admit func(candidate, victim string) bool
+	if c.admit != nil {
+		admit = c.admit.Admit
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*lruEntry).val = v
-		return
+	added, evicted := c.lru.Add(key, v, admit)
+	if !added {
+		c.rejected++
 	}
-	if c.admit != nil && c.ll.Len() >= c.cap {
-		victim := c.ll.Back().Value.(*lruEntry).key
-		if !c.admit.Admit(key, victim) {
-			c.rejected++
-			return
-		}
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: v})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
+	if evicted {
 		c.evictions++
 	}
 }
@@ -100,7 +76,7 @@ func (c *lruCache) Rejected() uint64 {
 func (c *lruCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.lru.Len()
 }
 
 // Evictions returns the total number of entries evicted for capacity.

@@ -13,7 +13,7 @@ import (
 func tr() *mediator.Translation { return &mediator.Translation{} }
 
 func TestLRUEvictsOldest(t *testing.T) {
-	c := newLRU(2, false)
+	c := newLRU(2, nil)
 	a, b, d := tr(), tr(), tr()
 	c.Add("a", a)
 	c.Add("b", b)
@@ -39,7 +39,7 @@ func TestLRUEvictsOldest(t *testing.T) {
 }
 
 func TestLRURefreshDoesNotGrow(t *testing.T) {
-	c := newLRU(2, false)
+	c := newLRU(2, nil)
 	v1, v2 := tr(), tr()
 	c.Add("a", v1)
 	c.Add("a", v2)

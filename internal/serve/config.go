@@ -10,8 +10,8 @@ import (
 )
 
 // CacheConfig groups the server's cache sizing: the canonical translation
-// cache, the shared cross-request matchings cache, the shared translation
-// plan, and the TinyLFU admission policy guarding the first two.
+// cache, the shared cross-request matchings cache, and the TinyLFU
+// admission policy guarding both.
 type CacheConfig struct {
 	// Size bounds the translation cache in entries
 	// (DefaultCacheSize if <= 0).
@@ -19,10 +19,12 @@ type CacheConfig struct {
 	// Admission puts a TinyLFU frequency sketch in front of the translation
 	// cache and the shared matchings cache: a full cache only admits a new
 	// entry whose estimated access frequency strictly exceeds the eviction
-	// victim's, so scan-like traffic (a flood of one-off queries) cannot
-	// wash out the hot working set. Rejections are counted in
-	// qmap_admission_rejected_total. Admission never changes answers — a
-	// rejected insert is still returned to its caller, just not cached.
+	// victim's (the least recently used entry not hit since insertion, else
+	// the least recently used one), so scan-like traffic (a flood of
+	// one-off queries) cannot wash out the hot working set. Rejections are
+	// counted in qmap_admission_rejected_total. Admission never changes
+	// answers — a rejected insert is still returned to its caller, just not
+	// cached.
 	Admission bool
 	// MatchCache, when non-nil, is the shared cross-request matchings cache
 	// the server installs on its mediator. Nil builds one sized by
@@ -32,13 +34,6 @@ type CacheConfig struct {
 	// MatchCache is nil (core.DefaultMatchCacheSize if 0); a negative size
 	// disables cross-request matching reuse entirely.
 	MatchCacheSize int
-	// Plan, when non-nil, is the shared cross-request translation plan the
-	// server installs on its mediator. Nil builds one sized by PlanSize.
-	Plan *core.Plan
-	// PlanSize bounds the shared translation plan in entries when Plan is
-	// nil (core.DefaultPlanSize if 0); a negative size disables
-	// cross-request translation-plan reuse entirely.
-	PlanSize int
 }
 
 // StreamConfig groups the streaming execution pipeline's knobs.
@@ -126,8 +121,8 @@ func (r ResilienceConfig) enabled() bool {
 // the corresponding grouped field when that field is unset, and the
 // grouped field wins when both are set. New code should set the groups.
 type Config struct {
-	// Cache groups the translation-cache, matchings-cache, translation-plan,
-	// and admission-policy knobs.
+	// Cache groups the translation-cache, matchings-cache, and
+	// admission-policy knobs.
 	Cache CacheConfig
 	// Streaming groups the tuple-at-a-time pipeline knobs.
 	Streaming StreamConfig
@@ -176,14 +171,6 @@ type Config struct {
 	// Deprecated: set Cache.MatchCacheSize. Applied only when
 	// Cache.MatchCacheSize is 0.
 	MatchCacheSize int
-	// Plan is the shared cross-request translation plan.
-	//
-	// Deprecated: set Cache.Plan. Applied only when Cache.Plan is nil.
-	Plan *core.Plan
-	// PlanSize bounds the shared translation plan.
-	//
-	// Deprecated: set Cache.PlanSize. Applied only when Cache.PlanSize is 0.
-	PlanSize int
 	// Stream enables the streaming pipeline.
 	//
 	// Deprecated: set Streaming.Enabled. Applied only when
@@ -225,12 +212,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Cache.MatchCacheSize == 0 {
 		c.Cache.MatchCacheSize = c.MatchCacheSize
-	}
-	if c.Cache.Plan == nil {
-		c.Cache.Plan = c.Plan
-	}
-	if c.Cache.PlanSize == 0 {
-		c.Cache.PlanSize = c.PlanSize
 	}
 	if !c.Streaming.Enabled {
 		c.Streaming.Enabled = c.Stream

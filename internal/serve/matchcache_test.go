@@ -224,10 +224,7 @@ func TestServerTranslateBatch(t *testing.T) {
 // through the server's cache, visible as hits without any Stats divergence.
 func TestServeSharesOneMatchCacheAcrossRequests(t *testing.T) {
 	med, data := newBookstoreMediator()
-	// The translation plan would replay the recurring {ln, fn} SCM fragment
-	// before the matcher ever runs; disable it so this test observes the
-	// match-cache layer in isolation.
-	srv := New(med, data, Config{CacheSize: 1, PlanSize: -1})
+	srv := New(med, data, Config{CacheSize: 1})
 	ctx := context.Background()
 
 	// The {ln, fn} conjunction appears as q1's whole constraint set and as

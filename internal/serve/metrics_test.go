@@ -122,9 +122,6 @@ func TestServerMetricsExposition(t *testing.T) {
 		{"qmap_cache_hits_total", float64(st.CacheHits)},
 		{"qmap_cache_misses_total", float64(st.CacheMisses)},
 		{"qmap_cache_entries", float64(st.CacheEntries)},
-		{"qmap_plan_hits_total", float64(st.PlanHits)},
-		{"qmap_plan_misses_total", float64(st.PlanMisses)},
-		{"qmap_plan_entries", float64(st.PlanEntries)},
 		{"qmap_serve_in_flight", 0},
 	} {
 		got, ok := byName(check.name)

@@ -61,20 +61,6 @@ func WithMatchCacheSize(n int) Option {
 	return func(c *Config) { c.Cache.MatchCacheSize = n }
 }
 
-// WithPlan installs p as the shared cross-request translation plan,
-// overriding WithPlanSize. Use it to share one plan between several servers
-// over the same rule specs.
-func WithPlan(p *core.Plan) Option {
-	return func(c *Config) { c.Cache.Plan = p }
-}
-
-// WithPlanSize bounds the shared translation plan built by the server
-// (core.DefaultPlanSize if n == 0); a negative n disables cross-request
-// translation-plan reuse entirely.
-func WithPlanSize(n int) Option {
-	return func(c *Config) { c.Cache.PlanSize = n }
-}
-
 // WithStreaming enables the tuple-at-a-time execution pipeline with the
 // given shard count per source (1 if shards <= 0). Answers are identical to
 // the materialized path; per-request memory is bounded by shards × buffer.

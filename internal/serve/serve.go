@@ -21,6 +21,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sort"
 	"strconv"
@@ -60,14 +61,20 @@ type CachingTranslator struct {
 // NewCachingTranslator wraps med.Translate in a canonical LRU cache holding
 // up to capacity translations (DefaultCacheSize if capacity <= 0).
 func NewCachingTranslator(med *mediator.Mediator, capacity int) *CachingTranslator {
-	return newCachingTranslator(med.Translate, capacity, false)
+	return newCachingTranslator(med.Translate, capacity, false, 0)
 }
 
-func newCachingTranslator(fn func(*qtree.Node) (*mediator.Translation, error), capacity int, admission bool) *CachingTranslator {
+// newCachingTranslator builds the cache over fn, with TinyLFU admission
+// through a sketch hashed by seed when admission is on.
+func newCachingTranslator(fn func(*qtree.Node) (*mediator.Translation, error), capacity int, admission bool, seed uint64) *CachingTranslator {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	return &CachingTranslator{translate: fn, cache: newLRU(capacity, admission)}
+	var admit *resilience.Sketch
+	if admission {
+		admit = resilience.NewSketch(capacity, seed)
+	}
+	return &CachingTranslator{translate: fn, cache: newLRU(capacity, admit)}
 }
 
 // Translate returns the translation of q, computing it at most once per
@@ -146,7 +153,6 @@ type Server struct {
 	data    map[string]*engine.Relation
 	tr      *CachingTranslator
 	mc      *core.MatchCache
-	pl      *core.Plan
 	sem     chan struct{}
 	workers int
 	timeout time.Duration
@@ -195,9 +201,6 @@ type Server struct {
 // Unless disabled (MatchCacheSize < 0), New installs a shared cross-request
 // matchings cache on the mediator (med.MatchCache) so distinct requests
 // reuse SCM matching work; a cache the mediator already carries is kept.
-// Likewise, unless disabled (PlanSize < 0), New installs a shared
-// translation plan on the mediator (med.Plan) so recurring query shapes
-// replay precomputed TDQM/PSafe/EDNF/SCM fragments.
 func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *Server {
 	cfg = cfg.normalized()
 	workers := cfg.Workers
@@ -221,15 +224,6 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 	} else if mc != nil {
 		med.MatchCache = mc
 	}
-	pl := cfg.Cache.Plan
-	if pl == nil && cfg.Cache.PlanSize >= 0 {
-		pl = core.NewPlan(cfg.Cache.PlanSize)
-	}
-	if med.Plan != nil {
-		pl = med.Plan
-	} else if pl != nil {
-		med.Plan = pl
-	}
 	if cfg.ChainDebug {
 		med.ChainDebug = true
 	}
@@ -248,9 +242,8 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 	s := &Server{
 		med:     med,
 		data:    data,
-		tr:      newCachingTranslator(med.Translate, cfg.Cache.Size, cfg.Cache.Admission),
+		tr:      newCachingTranslator(med.Translate, cfg.Cache.Size, cfg.Cache.Admission, rand.Uint64()),
 		mc:      mc,
-		pl:      pl,
 		sem:     make(chan struct{}, workers),
 		workers: workers,
 		timeout: cfg.SourceTimeout,
@@ -317,20 +310,6 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 		reg.GaugeFunc("qmap_matchcache_entries",
 			"Resident shared matchings-cache entries.",
 			func() float64 { return float64(mc.Len()) })
-	}
-	if pl != nil {
-		reg.CounterFunc("qmap_plan_hits_total",
-			"Translation fragments replayed from the shared plan.",
-			func() float64 { return float64(pl.Stats().Hits) })
-		reg.CounterFunc("qmap_plan_misses_total",
-			"Plan lookups that ran the algorithm (incl. traced bypasses).",
-			func() float64 { return float64(pl.Stats().Misses) })
-		reg.CounterFunc("qmap_plan_evictions_total",
-			"Shared translation-plan entries evicted for capacity.",
-			func() float64 { return float64(pl.Stats().Evictions) })
-		reg.GaugeFunc("qmap_plan_entries",
-			"Resident shared translation-plan entries.",
-			func() float64 { return float64(pl.Len()) })
 	}
 	if cfg.Index {
 		reg.CounterFunc("qmap_index_probes_total",
@@ -421,10 +400,6 @@ func (s *Server) Translator() *CachingTranslator { return s.tr }
 // MatchCache returns the shared cross-request matchings cache the server
 // installed on its mediator, or nil when disabled.
 func (s *Server) MatchCache() *core.MatchCache { return s.mc }
-
-// Plan returns the shared cross-request translation plan the server
-// installed on its mediator, or nil when disabled.
-func (s *Server) Plan() *core.Plan { return s.pl }
 
 // Metrics returns the registry backing the server's counters, for mounting
 // a /metrics endpoint (obs.Registry.WritePrometheus) or registering further
@@ -669,13 +644,6 @@ func (s *Server) Stats() Stats {
 		st.MatchCacheMisses = mcs.Misses
 		st.MatchCacheEvictions = mcs.Evictions
 		st.MatchCacheEntries = mcs.Entries
-	}
-	if s.pl != nil {
-		pls := s.pl.Stats()
-		st.PlanHits = pls.Hits
-		st.PlanMisses = pls.Misses
-		st.PlanEvictions = pls.Evictions
-		st.PlanEntries = pls.Entries
 	}
 	st.Sources = make(map[string]SourceStats, len(s.sources))
 	st.LatencyLabels = LatencyBucketLabels()

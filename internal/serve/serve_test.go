@@ -176,7 +176,7 @@ func TestCacheStampede(t *testing.T) {
 		}
 		<-release
 		return want, nil
-	}, 8, false)
+	}, 8, false, 0)
 
 	q1 := qparse.MustParse(`[ln = "Clancy"] and [fn = "Tom"]`)
 	q2 := qparse.MustParse(`[fn = "Tom"] and [ln = "Clancy"]`) // same canonical key

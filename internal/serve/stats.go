@@ -87,17 +87,11 @@ type Stats struct {
 	// MatchCacheEntries is the number of resident shared matchings-cache
 	// entries.
 	MatchCacheEntries int `json:"matchcache_entries"`
-	// PlanHits counts translation fragments replayed from the shared
-	// cross-request translation plan (zero when the plan is disabled).
-	PlanHits uint64 `json:"plan_hits"`
-	// PlanMisses counts plan lookups that ran the algorithm, including
-	// traced bypasses.
-	PlanMisses uint64 `json:"plan_misses"`
-	// PlanEvictions counts shared translation-plan entries evicted for
-	// capacity.
-	PlanEvictions uint64 `json:"plan_evictions"`
-	// PlanEntries is the number of resident shared translation-plan entries.
-	PlanEntries int `json:"plan_entries"`
+	// PlanHits and PlanMisses are always zero: no fragment cache sits
+	// between the translation cache and the matchings cache. They stay, out
+	// of the JSON shape, because perfbench still reads them.
+	PlanHits   uint64 `json:"-"`
+	PlanMisses uint64 `json:"-"`
 	// StreamRequests counts Query/QueryJoin calls answered by the streaming
 	// pipeline (zero when streaming is disabled).
 	StreamRequests uint64 `json:"stream_requests"`

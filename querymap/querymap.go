@@ -200,14 +200,6 @@ type (
 	// MatchCacheStats is a point-in-time snapshot of a MatchCache's
 	// hit/miss/eviction counters.
 	MatchCacheStats = core.MatchCacheStats
-	// Plan is a bounded, spec-keyed cache of translation fragments
-	// (TDQM results, safe partitions, essential DNFs, SCM results) shared
-	// across translations and requests and looked up by exact query shape.
-	// Safe for concurrent use.
-	Plan = core.Plan
-	// PlanStats is a point-in-time snapshot of a Plan's
-	// hit/miss/eviction counters.
-	PlanStats = core.PlanStats
 )
 
 // Translator construction options.
@@ -230,21 +222,11 @@ var (
 	// NewMatchCache returns a shared matchings cache holding up to capacity
 	// entries (DefaultMatchCacheSize if capacity <= 0).
 	NewMatchCache = core.NewMatchCache
-	// WithPlan attaches a shared cross-translation plan of precomputed
-	// translation fragments.
-	WithPlan = core.WithPlan
-	// NewPlan returns a shared translation plan holding up to capacity
-	// entries (DefaultPlanSize if capacity <= 0).
-	NewPlan = core.NewPlan
 )
 
 // DefaultMatchCacheSize is the shared matchings-cache capacity used when a
 // size is left unset.
 const DefaultMatchCacheSize = core.DefaultMatchCacheSize
-
-// DefaultPlanSize is the shared translation-plan capacity used when a size
-// is left unset.
-const DefaultPlanSize = core.DefaultPlanSize
 
 // Algorithm names accepted by Translator.Translate.
 const (
@@ -372,11 +354,6 @@ var (
 	// ServeMatchCacheSize sizes the server-built shared matchings cache;
 	// a negative size disables cross-request matching reuse.
 	ServeMatchCacheSize = serve.WithMatchCacheSize
-	// ServePlan installs a caller-owned shared translation plan.
-	ServePlan = serve.WithPlan
-	// ServePlanSize sizes the server-built shared translation plan; a
-	// negative size disables cross-request translation-plan reuse.
-	ServePlanSize = serve.WithPlanSize
 	// ServeStreaming switches Query/QueryJoin to the tuple-at-a-time
 	// per-shard pipeline with the given shard count; answers are identical
 	// to the materialized path with per-request memory bounded by
