@@ -56,8 +56,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/engine"
 	"repro/internal/mediator"
@@ -239,12 +241,6 @@ func (s *server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-type queryResultJSON struct {
-	Query       string              `json:"query"`
-	Answers     []map[string]string `json:"answers"`
-	AnswerCount int                 `json:"answer_count"`
-}
-
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := qparse.Parse(r.URL.Query().Get("q"))
 	if err != nil {
@@ -256,17 +252,123 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	out := queryResultJSON{Query: q.String(), AnswerCount: result.Len()}
-	for _, t := range result.Tuples {
-		row := make(map[string]string)
-		for _, attr := range []string{"ti", "author", "publisher", "id-no"} {
-			if v, ok := t[attr]; ok {
-				row[attr] = v.String()
-			}
-		}
-		out.Answers = append(out.Answers, row)
+	text := q.String()
+	// A catalog answer encodes to about 160 bytes: size the buffer once
+	// instead of growing it by doubling.
+	buf := make([]byte, 0, 128+len(text)+192*result.Len())
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(appendQueryJSON(buf, text, result.Tuples)); err != nil {
+		log.Printf("mediatord: encoding response: %v", err)
 	}
-	writeJSON(w, out)
+}
+
+// answerAttrs are the attributes /query reports for each answer, in the
+// order encoding/json sorts map keys.
+var answerAttrs = [...]string{"author", "id-no", "publisher", "ti"}
+
+// appendQueryJSON appends the /query response for answers to query:
+//
+//	{"query": query, "answers": [row...], "answer_count": len(answers)}
+//
+// where a row maps each of answerAttrs an answer carries to its value's
+// String(), and "answers" is null when there are none. The bytes are those
+// json.Encoder with SetIndent("", "  ") writes for that object (the
+// reference in encode_test.go), without building the rows, reflecting or
+// indenting.
+func appendQueryJSON(b []byte, query string, answers []engine.Tuple) []byte {
+	b = append(b, "{\n  \"query\": "...)
+	b = appendJSONString(b, query)
+	b = append(b, ",\n  \"answers\": "...)
+	if len(answers) == 0 {
+		b = append(b, "null"...)
+	} else {
+		var scratch [256]byte
+		b = append(b, '[')
+		for i, t := range answers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    {"...)
+			n := 0
+			for _, attr := range answerAttrs {
+				v, ok := t[attr]
+				if !ok {
+					continue
+				}
+				if n > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, "\n      \""...)
+				b = append(b, attr...)
+				b = append(b, "\": "...)
+				b = appendJSONString(b, engine.AppendValue(scratch[:0], v))
+				n++
+			}
+			if n > 0 {
+				b = append(b, "\n    "...)
+			}
+			b = append(b, '}')
+		}
+		b = append(b, "\n  ]"...)
+	}
+	b = append(b, ",\n  \"answer_count\": "...)
+	b = strconv.AppendInt(b, int64(len(answers)), 10)
+	return append(b, "\n}\n"...)
+}
+
+// appendJSONString appends s as encoding/json encodes a string: quoted, with
+// \\, \", \b, \f, \n, \r and \t escaped by letter, other control bytes and
+// <, > and & as \u00XX, U+2028 and U+2029 as \u2028 and \u2029, and each
+// byte of invalid UTF-8 as \ufffd.
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		n := min(len(s)-i, utf8.UTFMax)
+		r, size := utf8.DecodeRuneInString(string(s[i : i+n]))
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
 
 type sourceInfoJSON struct {

@@ -92,7 +92,7 @@ func (r *Relation) SelectIndexed(q *qtree.Node, ev *Evaluator, indexes IndexSet)
 			for _, t := range best {
 				match, err := ev.EvalQuery(q, t)
 				if err != nil {
-					return nil, err
+					return nil, selectErr(r.Name, err)
 				}
 				if match {
 					out.Tuples = append(out.Tuples, t)

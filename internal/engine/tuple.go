@@ -12,8 +12,11 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strconv"
+	"strings"
+	"unsafe"
 
 	"repro/internal/qtree"
 	"repro/internal/values"
@@ -73,14 +76,14 @@ func (t Tuple) String() string {
 		}
 		b = append(b, k...)
 		b = append(b, '=')
-		b = appendValue(b, t[k])
+		b = AppendValue(b, t[k])
 	}
 	b = append(b, '}')
 	return string(b)
 }
 
-// appendValue appends v.String() to b, formatting the common kinds directly.
-func appendValue(b []byte, v qtree.Value) []byte {
+// AppendValue appends v.String() to b, formatting the common kinds directly.
+func AppendValue(b []byte, v qtree.Value) []byte {
 	switch x := v.(type) {
 	case values.String:
 		return appendQuoted(b, string(x))
@@ -103,6 +106,57 @@ func appendQuoted(b []byte, s string) []byte {
 	b = append(b, s...)
 	return append(b, '"')
 }
+
+// Ranks orders a fixed set of tuples the way their String renderings order,
+// without rendering them again. It maps each ranked tuple, by the identity
+// of its map, to the rank of its rendering among all the ranked tuples;
+// tuples whose renderings are equal share a rank. So for ranked tuples t and
+// u, t.String() < u.String() exactly when t's rank is below u's, and the
+// renderings are equal exactly when the ranks are. A Ranks is immutable and
+// safe for concurrent use; a ranked tuple must not be mutated, or its rank
+// goes stale.
+type Ranks struct {
+	rank map[unsafe.Pointer]int32
+}
+
+// BuildRanks renders every tuple of rels once and ranks them. A tuple map
+// held by several relations, or twice by one, is ranked once.
+func BuildRanks(rels ...*Relation) *Ranks {
+	type rendered struct {
+		id  unsafe.Pointer
+		key string
+	}
+	var all []rendered
+	rank := make(map[unsafe.Pointer]int32)
+	for _, r := range rels {
+		for _, t := range r.Tuples {
+			id := tupleID(t)
+			if _, dup := rank[id]; !dup {
+				rank[id] = 0
+				all = append(all, rendered{id, t.String()})
+			}
+		}
+	}
+	slices.SortFunc(all, func(a, b rendered) int { return strings.Compare(a.key, b.key) })
+	r := int32(-1)
+	for i, e := range all {
+		if i == 0 || e.key != all[i-1].key {
+			r++
+		}
+		rank[e.id] = r
+	}
+	return &Ranks{rank: rank}
+}
+
+// Rank returns t's rank, and false when t is not one of the ranked tuples
+// (a tuple with equal content but a map of its own is not).
+func (rk *Ranks) Rank(t Tuple) (int32, bool) {
+	r, ok := rk.rank[tupleID(t)]
+	return r, ok
+}
+
+// tupleID is the identity of t's map.
+func tupleID(t Tuple) unsafe.Pointer { return reflect.ValueOf(t).UnsafePointer() }
 
 // Relation is a named bag of tuples.
 type Relation struct {
@@ -133,8 +187,8 @@ func (r *Relation) Select(q *qtree.Node, ev *Evaluator) (*Relation, error) {
 	return out, nil
 }
 
-// selectErr wraps an evaluation error the way Select reports it; Join and
-// SelectAccess report theirs the same way.
+// selectErr wraps an evaluation error the way Select reports it; Join,
+// SelectIndexed and SelectAccess report theirs the same way.
 func selectErr(name string, err error) error {
 	return fmt.Errorf("engine: selecting from %s: %w", name, err)
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -147,7 +148,8 @@ func DefaultExecutor(ctx context.Context, _ string, rel *engine.Relation, q *qtr
 // Server serves mediated queries concurrently: cached translation, parallel
 // per-source execution under admission control, deterministic merging, and
 // atomic stats. It is safe for concurrent use; the mediator, its sources,
-// and the data relations must not be mutated while the server is live.
+// and the data relations must not be mutated while the server is live (the
+// union merge's rank table is built from the relations once).
 type Server struct {
 	med     *mediator.Mediator
 	data    map[string]*engine.Relation
@@ -157,6 +159,11 @@ type Server struct {
 	workers int
 	timeout time.Duration
 	exec    SourceExecutor
+
+	// ranks orders the universe tuples for the materialized union merge;
+	// unionRanks builds it on the first union query that has answers.
+	ranksOnce sync.Once
+	ranks     *engine.Ranks
 
 	stream      bool
 	shards      int
@@ -518,6 +525,71 @@ func (s *Server) Query(ctx context.Context, q *qtree.Node) (*engine.Relation, er
 		s.errors.Inc()
 		return nil, err
 	}
+	out := s.mergeUnion(rels)
+	s.accessSpan(ctx, tr)
+	s.resilienceSpan(ctx, tr, events)
+	return out, nil
+}
+
+// mergeUnion merges the branch relations as mediator.ExecuteUnion does:
+// tuples deduplicated by rendering, the first occurrence in source order
+// kept, ordered by rendering. Branch tuples drawn from the universes are
+// compared by their rank instead of rendered; a tuple outside them, which
+// only an executor that builds its own tuples returns, sends the request to
+// the rendering merge.
+func (s *Server) mergeUnion(rels []*engine.Relation) *engine.Relation {
+	n := 0
+	for _, rel := range rels {
+		n += rel.Len()
+	}
+	if n == 0 {
+		return engine.NewRelation("result")
+	}
+	ranks := s.unionRanks()
+	// A branch tuple's key is its rank above its position in source
+	// order, so sorting the keys sorts stably by rank.
+	all := make([]engine.Tuple, 0, n)
+	keys := make([]uint64, 0, n)
+	for _, rel := range rels {
+		for _, t := range rel.Tuples {
+			r, ok := ranks.Rank(t)
+			if !ok {
+				return renderMerge(rels)
+			}
+			keys = append(keys, uint64(r)<<32|uint64(len(all)))
+			all = append(all, t)
+		}
+	}
+	slices.Sort(keys)
+	distinct := 0
+	for _, k := range keys {
+		if distinct == 0 || k>>32 != keys[distinct-1]>>32 {
+			keys[distinct] = k
+			distinct++
+		}
+	}
+	out := &engine.Relation{Name: "result", Tuples: make([]engine.Tuple, distinct)}
+	for i, k := range keys[:distinct] {
+		out.Tuples[i] = all[uint32(k)]
+	}
+	return out
+}
+
+// unionRanks returns the rank table over the server's universe relations,
+// building it on first use.
+func (s *Server) unionRanks() *engine.Ranks {
+	s.ranksOnce.Do(func() {
+		rels := make([]*engine.Relation, 0, len(s.data))
+		for _, rel := range s.data {
+			rels = append(rels, rel)
+		}
+		s.ranks = engine.BuildRanks(rels...)
+	})
+	return s.ranks
+}
+
+// renderMerge is mergeUnion by rendering every branch tuple.
+func renderMerge(rels []*engine.Relation) *engine.Relation {
 	out := engine.NewRelation("result")
 	var keys []string
 	seen := make(map[string]bool)
@@ -532,9 +604,7 @@ func (s *Server) Query(ctx context.Context, q *qtree.Node) (*engine.Relation, er
 		}
 	}
 	sortTuplesByKey(out.Tuples, keys)
-	s.accessSpan(ctx, tr)
-	s.resilienceSpan(ctx, tr, events)
-	return out, nil
+	return out
 }
 
 // QueryJoin answers q in join-style integration (Eq. 2), producing the same
