@@ -541,8 +541,7 @@ func BenchmarkTDQMParallelBranches(b *testing.B) {
 	wide := qtree.Or(branches...).Normalize()
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tr := core.NewTranslator(s.Spec)
-			tr.SetParallelism(workers)
+			tr := core.NewTranslator(s.Spec, core.WithParallelism(workers))
 			for i := 0; i < b.N; i++ {
 				if _, err := tr.TDQM(wide); err != nil {
 					b.Fatal(err)

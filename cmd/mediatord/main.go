@@ -49,6 +49,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -66,6 +67,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qparse"
 	"repro/internal/qtree"
+	"repro/internal/resilience"
 	"repro/internal/rules"
 	"repro/internal/serve"
 	"repro/internal/sources"
@@ -76,6 +78,9 @@ type server struct {
 	svc     *serve.Server
 	catalog *engine.Relation
 	reg     *obs.Registry
+	// retryAfter is the Retry-After of a 503 for a tripped breaker: the
+	// breakers' open interval in whole seconds, rounded up.
+	retryAfter string
 }
 
 func main() {
@@ -178,11 +183,16 @@ func newServer(seed int64, nBooks int, cfg serve.Config) *server {
 	}
 	obs.RegisterGoRuntime(reg)
 	med.Metrics = obs.NewTranslationMetrics(reg)
+	openFor := cfg.Resilience.BreakerConfig.OpenFor
+	if openFor <= 0 {
+		openFor = resilience.DefaultOpenFor
+	}
 	return &server{
-		med:     med,
-		svc:     serve.New(med, data, cfg),
-		catalog: catalog,
-		reg:     reg,
+		med:        med,
+		svc:        serve.New(med, data, cfg),
+		catalog:    catalog,
+		reg:        reg,
+		retryAfter: strconv.FormatInt(int64((openFor+time.Second-1)/time.Second), 10),
 	}
 }
 
@@ -226,7 +236,7 @@ func (s *server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	}
 	tr, err := s.svc.Translate(r.Context(), q)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
+		s.serveError(w, err)
 		return
 	}
 	out := translationJSON{Query: q.String(), Filter: tr.Filter.String()}
@@ -249,7 +259,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	result, err := s.svc.Query(r.Context(), q)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err)
+		s.serveError(w, err)
 		return
 	}
 	text := q.String()
@@ -419,6 +429,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		log.Printf("mediatord: encoding response: %v", err)
+	}
+}
+
+// serveError answers a failed Translate or Query: 503 with Retry-After when
+// a source's breaker is open, 504 when a deadline ran out, 422 otherwise.
+func (s *server) serveError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, serve.ErrBreakerOpen):
+		w.Header().Set("Retry-After", s.retryAfter)
+		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, context.DeadlineExceeded):
+		httpError(w, http.StatusGatewayTimeout, err)
+	default:
+		httpError(w, http.StatusUnprocessableEntity, err)
 	}
 }
 

@@ -64,8 +64,8 @@ type Translator struct {
 	// trace, when non-nil, collects derivation steps (see SetTrace).
 	trace *Trace
 	// tracer, when non-nil, records the span tree of the translation
-	// (see SetTracer); metrics, when non-nil, feeds cumulative per-rule
-	// and per-algorithm counters (see SetMetrics).
+	// (see WithTracer); metrics, when non-nil, feeds cumulative per-rule
+	// and per-algorithm counters (see WithMetrics).
 	tracer  *obs.Tracer
 	metrics *obs.TranslationMetrics
 	// traceDepth and depSupport implement the essentialDNFSize counter:
@@ -87,7 +87,7 @@ type Translator struct {
 	depth     int
 	memoStats MemoStats
 	// shared, when non-nil, is the cross-request matchings cache consulted
-	// after the translation-scoped memo (see SetMatchCache / MatchCache).
+	// after the translation-scoped memo (see WithMatchCache / MatchCache).
 	shared *MatchCache
 	// scratch holds per-translator reusable buffers for the EDNF/PSafe
 	// allocation diet; forks get fresh scratch (see ednf.go, psafe.go).
@@ -95,7 +95,7 @@ type Translator struct {
 		nullify []bool
 	}
 	// workers and sem implement bounded parallel branch mapping
-	// (see SetParallelism).
+	// (see WithParallelism).
 	workers int
 	sem     chan struct{}
 }
@@ -118,14 +118,6 @@ func (t *Translator) ResetStats() { t.Stats = Stats{} }
 // scan-every-rule path, which produces identical matchings at higher cost
 // (the equivalence the tests in memo_test.go assert).
 func (t *Translator) SetCompiled(on bool) { t.compiledOff = !on }
-
-// SetMatchCache attaches (or detaches, with nil) a shared cross-request
-// matchings cache. Results and Stats are identical with or without one —
-// hits replay recorded matchings with exact counter compensation — so the
-// cache is observable only through its own MatchCacheStats.
-//
-// Deprecated: prefer the WithMatchCache option at construction time.
-func (t *Translator) SetMatchCache(c *MatchCache) { WithMatchCache(c)(t) }
 
 // MatchCache returns the attached shared matchings cache, or nil.
 func (t *Translator) MatchCache() *MatchCache { return t.shared }

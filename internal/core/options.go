@@ -3,11 +3,9 @@ package core
 import "repro/internal/obs"
 
 // Option configures a Translator at construction time. Options are the
-// primary configuration surface — each one owns its configuration logic,
-// and the mutating setters (SetParallelism, SetTracer, ...) are thin
-// deprecated wrappers that apply the corresponding option after the fact.
-// A translator is assembled once, fully configured, by
-// NewTranslator(spec, opts...).
+// configuration surface for parallelism, tracing, metrics and the shared
+// matchings cache — each one owns its configuration logic. A translator is
+// assembled once, fully configured, by NewTranslator(spec, opts...).
 type Option func(*Translator)
 
 // WithParallelism bounds the worker pool branch mapping and TranslateBatch
@@ -35,7 +33,11 @@ func WithMatchCache(c *MatchCache) Option {
 }
 
 // WithTracer attaches a span tracer recording the full derivation call
-// tree (nil detaches). A nil tracer is a no-op.
+// tree (nil detaches): one span per TDQM node visit, EDNF computation,
+// PSafe partition, SCM invocation, and rule matching attempt, with the
+// counters that make the paper's e-vs-k cost claim observable per query.
+// A nil tracer is a no-op; a tracer can also ride in the context passed to
+// Do (obs.WithTracer).
 func WithTracer(tr *obs.Tracer) Option {
 	return func(t *Translator) { t.tracer = tr }
 }

@@ -13,14 +13,6 @@ import (
 // and child statistics merged in branch order, so output, Stats, and residue
 // tracking are identical to the sequential path.
 
-// SetParallelism sets the number of workers branch mapping may use; n <= 1
-// (the default) keeps translation fully sequential. Parallelism is skipped
-// whenever a tracer or derivation trace is attached — span trees and
-// derivation logs are ordered, sequential artifacts.
-//
-// Deprecated: prefer the WithParallelism option at construction time.
-func (t *Translator) SetParallelism(n int) { WithParallelism(n)(t) }
-
 // parallelEligible reports whether a fan-out over n branches should run
 // concurrently.
 func (t *Translator) parallelEligible(n int) bool {

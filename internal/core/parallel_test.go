@@ -23,8 +23,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			seq := core.NewTranslator(c.S.Spec)
 			wantQ, wantF, wantErr := seq.TranslateWithFilter(c.Query, alg)
 
-			par := core.NewTranslator(c.S.Spec)
-			par.SetParallelism(8)
+			par := core.NewTranslator(c.S.Spec, core.WithParallelism(8))
 			gotQ, gotF, gotErr := par.TranslateWithFilter(c.Query, alg)
 
 			if (wantErr == nil) != (gotErr == nil) {
@@ -56,10 +55,8 @@ func TestParallelSkippedUnderTracing(t *testing.T) {
 	c := conformance.NewCase(5)
 
 	run := func(workers int) string {
-		tr := core.NewTranslator(c.S.Spec)
-		tr.SetParallelism(workers)
 		tracer := obs.NewTracer()
-		tr.SetTracer(tracer)
+		tr := core.NewTranslator(c.S.Spec, core.WithParallelism(workers), core.WithTracer(tracer))
 		if _, _, err := tr.TranslateWithFilter(c.Query, core.AlgTDQM); err != nil {
 			t.Fatal(err)
 		}

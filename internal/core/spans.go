@@ -13,23 +13,6 @@ import (
 // precomputation below calls the spec directly, bypassing the counted
 // matchings path).
 
-// SetTracer attaches (or detaches, with nil) a span tracer. Unlike the flat
-// derivation Trace of SetTrace, the tracer records the full call tree —
-// one span per TDQM node visit, EDNF computation, PSafe partition, SCM
-// invocation, and rule matching attempt — with the counters that make the
-// paper's e-vs-k cost claim observable per query.
-//
-// Deprecated: prefer the WithTracer option at construction time, or carry
-// the tracer in the context passed to Do (obs.WithTracer).
-func (t *Translator) SetTracer(tr *obs.Tracer) { WithTracer(tr)(t) }
-
-// SetMetrics attaches (or detaches, with nil) cumulative translation
-// metrics; per-rule fire/suppress counts and algorithm work counters are
-// recorded under the spec's name.
-//
-// Deprecated: prefer the WithMetrics option at construction time.
-func (t *Translator) SetMetrics(m *obs.TranslationMetrics) { WithMetrics(m)(t) }
-
 // traceEnter tracks translation depth and, at the top level, computes the
 // dependent-constraint support of the whole query: the keys of every
 // constraint participating in a multi-constraint potential matching. Spans

@@ -34,7 +34,9 @@ func NewEvaluator() *Evaluator {
 }
 
 // Override installs fn for constraints on the named attribute (by bare
-// attribute name, ignoring view/relation qualifiers) with operator op.
+// attribute name, ignoring view/relation qualifiers) with operator op. fn
+// must be a pure function of its operands: a compiled snapshot selection
+// calls it once per distinct value and reuses the outcome.
 func (e *Evaluator) Override(attrName, op string, fn OpFunc) {
 	e.overrides[opKey{attrName, op}] = fn
 }
@@ -93,17 +95,30 @@ func (e *Evaluator) EvalConstraint(c *qtree.Constraint, t Tuple) (bool, error) {
 
 // evalLeaf evaluates a single constraint against the merge of rows.
 func (e *Evaluator) evalLeaf(c *qtree.Constraint, rows []Tuple) (bool, error) {
-	lv, ok := lookupRows(rows, c.AttrKey())
-	if !ok {
+	lv, lok := lookupRows(rows, c.AttrKey())
+	var rv qtree.Value
+	rok := false
+	if c.IsJoin() {
+		rv, rok = lookupRows(rows, c.RAttrKey())
+	}
+	return e.leaf(c, e.overrides[opKey{c.Attr.Name, c.Op}], lv, lok, rv, rok)
+}
+
+// leaf is a constraint's evaluation once its operands are read: lv and rv
+// are the tuple's values of c's attribute and, for a join constraint, of
+// its right attribute, lok and rok whether the tuple carries them. fn is
+// c's operator function, or nil for DefaultOp's semantics: evalLeaf passes
+// c's override, if any, and compiled selections pass op(c), resolved once.
+// Both paths end here, so they cannot drift.
+func (e *Evaluator) leaf(c *qtree.Constraint, fn OpFunc, lv qtree.Value, lok bool, rv qtree.Value, rok bool) (bool, error) {
+	if !lok {
 		if e.MissingIsFalse {
 			return false, nil
 		}
 		return false, fmt.Errorf("engine: tuple lacks attribute %s", c.Attr)
 	}
-	var rv qtree.Value
 	if c.IsJoin() {
-		rv, ok = lookupRows(rows, c.RAttrKey())
-		if !ok {
+		if !rok {
 			if e.MissingIsFalse {
 				return false, nil
 			}
@@ -112,10 +127,19 @@ func (e *Evaluator) evalLeaf(c *qtree.Constraint, rows []Tuple) (bool, error) {
 	} else {
 		rv = c.Val
 	}
-	if fn, ok := e.overrides[opKey{c.Attr.Name, c.Op}]; ok {
-		return fn(lv, rv)
+	if fn == nil {
+		return DefaultOp(c.Op, lv, rv)
 	}
-	return DefaultOp(c.Op, lv, rv)
+	return fn(lv, rv)
+}
+
+// op returns c's operator function: the override installed for its
+// attribute and operator, else the default semantics of the operator.
+func (e *Evaluator) op(c *qtree.Constraint) OpFunc {
+	if fn, ok := e.overrides[opKey{c.Attr.Name, c.Op}]; ok {
+		return fn
+	}
+	return defaultOp(c.Op)
 }
 
 // lookupRows reads attribute k of the merge of rows: the last row carrying
@@ -129,48 +153,104 @@ func lookupRows(rows []Tuple, k string) (qtree.Value, bool) {
 	return nil, false
 }
 
-// DefaultOp implements the standard operator semantics.
+// DefaultOp implements the standard operator semantics. It dispatches to
+// the functions defaultOp resolves operators to, so the tuple path's
+// per-evaluation dispatch and compiled selections agree.
 func DefaultOp(op string, lv, rv qtree.Value) (bool, error) {
 	switch op {
 	case qtree.OpEq:
-		return lv.Equal(rv), nil
+		return opEq(lv, rv)
 	case qtree.OpNe:
-		return !lv.Equal(rv), nil
-	case qtree.OpLt, qtree.OpLe, qtree.OpGt, qtree.OpGe:
-		cmp, err := Compare(lv, rv)
-		if err != nil {
-			return false, err
-		}
-		switch op {
-		case qtree.OpLt:
-			return cmp < 0, nil
-		case qtree.OpLe:
-			return cmp <= 0, nil
-		case qtree.OpGt:
-			return cmp > 0, nil
-		default:
-			return cmp >= 0, nil
-		}
+		return opNe(lv, rv)
+	case qtree.OpLt:
+		return opLt(lv, rv)
+	case qtree.OpLe:
+		return opLe(lv, rv)
+	case qtree.OpGt:
+		return opGt(lv, rv)
+	case qtree.OpGe:
+		return opGe(lv, rv)
 	case qtree.OpContains:
 		return evalContains(lv, rv)
 	case qtree.OpStarts:
-		ls, ok1 := asString(lv)
-		rs, ok2 := asString(rv)
-		if !ok1 || !ok2 {
-			return false, fmt.Errorf("engine: starts needs string operands, got %s/%s", lv.Kind(), rv.Kind())
-		}
-		return strings.HasPrefix(strings.ToLower(ls), strings.ToLower(rs)), nil
+		return opStarts(lv, rv)
 	case qtree.OpDuring:
-		ld, ok1 := lv.(values.Date)
-		rd, ok2 := rv.(values.Date)
-		if !ok1 || !ok2 {
-			return false, fmt.Errorf("engine: during needs date operands, got %s/%s", lv.Kind(), rv.Kind())
-		}
-		// [pdate during May/97]: the constant period contains the tuple date.
-		return rd.Contains(ld), nil
+		return opDuring(lv, rv)
 	default:
 		return false, fmt.Errorf("engine: unsupported operator %q", op)
 	}
+}
+
+// defaultOp resolves an operator name to its default semantics once, for
+// compiled selections. An unknown operator resolves to DefaultOp's report
+// of it, so the error surfaces only when a tuple reaches the constraint.
+func defaultOp(op string) OpFunc {
+	switch op {
+	case qtree.OpEq:
+		return opEq
+	case qtree.OpNe:
+		return opNe
+	case qtree.OpLt:
+		return opLt
+	case qtree.OpLe:
+		return opLe
+	case qtree.OpGt:
+		return opGt
+	case qtree.OpGe:
+		return opGe
+	case qtree.OpContains:
+		return evalContains
+	case qtree.OpStarts:
+		return opStarts
+	case qtree.OpDuring:
+		return opDuring
+	default:
+		return func(lv, rv qtree.Value) (bool, error) { return DefaultOp(op, lv, rv) }
+	}
+}
+
+func opEq(lv, rv qtree.Value) (bool, error) { return lv.Equal(rv), nil }
+
+func opNe(lv, rv qtree.Value) (bool, error) { return !lv.Equal(rv), nil }
+
+func opLt(lv, rv qtree.Value) (bool, error) {
+	cmp, err := Compare(lv, rv)
+	return err == nil && cmp < 0, err
+}
+
+func opLe(lv, rv qtree.Value) (bool, error) {
+	cmp, err := Compare(lv, rv)
+	return err == nil && cmp <= 0, err
+}
+
+func opGt(lv, rv qtree.Value) (bool, error) {
+	cmp, err := Compare(lv, rv)
+	return err == nil && cmp > 0, err
+}
+
+func opGe(lv, rv qtree.Value) (bool, error) {
+	cmp, err := Compare(lv, rv)
+	return err == nil && cmp >= 0, err
+}
+
+func opStarts(lv, rv qtree.Value) (bool, error) {
+	ls, ok1 := asString(lv)
+	rs, ok2 := asString(rv)
+	if !ok1 || !ok2 {
+		return false, fmt.Errorf("engine: starts needs string operands, got %s/%s", lv.Kind(), rv.Kind())
+	}
+	return strings.HasPrefix(strings.ToLower(ls), strings.ToLower(rs)), nil
+}
+
+// opDuring: [pdate during May/97] holds when the constant period contains
+// the tuple date.
+func opDuring(lv, rv qtree.Value) (bool, error) {
+	ld, ok1 := lv.(values.Date)
+	rd, ok2 := rv.(values.Date)
+	if !ok1 || !ok2 {
+		return false, fmt.Errorf("engine: during needs date operands, got %s/%s", lv.Kind(), rv.Kind())
+	}
+	return rd.Contains(ld), nil
 }
 
 func evalContains(lv, rv qtree.Value) (bool, error) {

@@ -68,38 +68,49 @@ func BuildIndexes(r *Relation, attrs ...string) IndexSet {
 // identity. Results are identical to Select's up to tuple order.
 func (r *Relation) SelectIndexed(q *qtree.Node, ev *Evaluator, indexes IndexSet) (*Relation, error) {
 	q = q.Normalize()
-	if q.IsSimpleConjunction() {
-		var best []Tuple
-		probed := false
-		for _, c := range q.SimpleConjuncts() {
-			if c.IsJoin() || c.Op != qtree.OpEq || c.Val == nil {
-				continue
-			}
-			if ev.hasOverride(c.Attr.Name, c.Op) {
-				continue
-			}
-			ix, ok := indexes[c.AttrKey()]
-			if !ok {
-				continue
-			}
-			bucket := ix.ProbeKey(c.ValueKey())
-			if !probed || len(bucket) < len(best) {
-				best, probed = bucket, true
-			}
+	best, probed := probeBucket(q, ev, indexes)
+	if !probed {
+		return r.Select(q, ev)
+	}
+	out := &Relation{Name: r.Name}
+	for _, t := range best {
+		match, err := ev.EvalQuery(q, t)
+		if err != nil {
+			return nil, selectErr(r.Name, err)
 		}
-		if probed {
-			out := &Relation{Name: r.Name}
-			for _, t := range best {
-				match, err := ev.EvalQuery(q, t)
-				if err != nil {
-					return nil, selectErr(r.Name, err)
-				}
-				if match {
-					out.Tuples = append(out.Tuples, t)
-				}
-			}
-			return out, nil
+		if match {
+			out.Tuples = append(out.Tuples, t)
 		}
 	}
-	return r.Select(q, ev)
+	return out, nil
+}
+
+// probeBucket returns the smallest bucket among the eligible equality
+// probes of the normalized query q, and false when q has none: it is not a
+// simple conjunction, or none of its equality constraints with a constant
+// and default semantics is on an indexed attribute. SelectIndexed and
+// Snapshot.Select share it, so both take the same candidates.
+func probeBucket(q *qtree.Node, ev *Evaluator, indexes IndexSet) ([]Tuple, bool) {
+	if !q.IsSimpleConjunction() {
+		return nil, false
+	}
+	var best []Tuple
+	probed := false
+	for _, c := range q.SimpleConjuncts() {
+		if c.IsJoin() || c.Op != qtree.OpEq || c.Val == nil {
+			continue
+		}
+		if ev.hasOverride(c.Attr.Name, c.Op) {
+			continue
+		}
+		ix, ok := indexes[c.AttrKey()]
+		if !ok {
+			continue
+		}
+		bucket := ix.ProbeKey(c.ValueKey())
+		if !probed || len(bucket) < len(best) {
+			best, probed = bucket, true
+		}
+	}
+	return best, probed
 }

@@ -55,7 +55,7 @@ func TestRanksOrderMatchesString(t *testing.T) {
 
 // TestSelectErrorTextAgrees: an evaluation error reads the same whichever
 // selection path meets it: Select's scan, SelectIndexed with and without a
-// usable index, and SelectAccess.
+// usable index, SelectAccess, and a column snapshot's scan and probe.
 func TestSelectErrorTextAgrees(t *testing.T) {
 	catalog := sources.BookRelation("catalog", sources.GenBooks(7, 200))
 	publisher, ok := catalog.Tuples[0]["publisher"].(values.String)
@@ -78,6 +78,14 @@ func TestSelectErrorTextAgrees(t *testing.T) {
 		},
 		"access": func() (*engine.Relation, error) {
 			return catalog.SelectAccess(context.Background(), q, ev, engine.BuildAccess(catalog))
+		},
+		"snapshot/scanned": func() (*engine.Relation, error) {
+			_, _, err := engine.NewSnapshot(catalog).Select(nil, q, ev, nil)
+			return nil, err
+		},
+		"snapshot/probed": func() (*engine.Relation, error) {
+			_, _, err := engine.NewSnapshot(catalog).Select(nil, q, ev, engine.BuildIndexes(catalog, "publisher"))
+			return nil, err
 		},
 	}
 	for name, sel := range paths {

@@ -26,10 +26,9 @@ func TestConformanceTraceInvariants(t *testing.T) {
 			plain := core.NewTranslator(c.S.Spec)
 			wantQ, wantF, wantErr := plain.TranslateWithFilter(c.Query, alg)
 
-			traced := core.NewTranslator(c.S.Spec)
 			tracer := obs.NewTracer()
-			traced.SetTracer(tracer)
-			traced.SetMetrics(obs.NewTranslationMetrics(obs.NewRegistry()))
+			traced := core.NewTranslator(c.S.Spec, core.WithTracer(tracer),
+				core.WithMetrics(obs.NewTranslationMetrics(obs.NewRegistry())))
 			gotQ, gotF, gotErr := traced.TranslateWithFilter(c.Query, alg)
 
 			if (wantErr == nil) != (gotErr == nil) {

@@ -32,13 +32,12 @@ func TestTracingWithMatchCacheMatchesCacheFree(t *testing.T) {
 			}
 
 			trace := func(withCache bool) []byte {
-				var opts []core.Option
+				tracer := obs.NewTracer()
+				opts := []core.Option{core.WithTracer(tracer)}
 				if withCache {
 					opts = append(opts, core.WithMatchCache(cache))
 				}
 				tr := core.NewTranslator(src.Spec, opts...)
-				tracer := obs.NewTracer()
-				tr.SetTracer(tracer)
 				if _, _, err := tr.TranslateWithFilter(q, core.AlgTDQM); err != nil {
 					t.Fatalf("%s over %s: %v", tc.name, src.Name, err)
 				}

@@ -23,10 +23,8 @@ func TestTracingWithMemoMatchesMemoFree(t *testing.T) {
 			sources.NewT1(), sources.NewT2(), sources.NewAmazon(), sources.NewClbooks(),
 		} {
 			trace := func(memo bool) []byte {
-				tr := core.NewTranslator(src.Spec)
-				tr.SetMemo(memo)
 				tracer := obs.NewTracer()
-				tr.SetTracer(tracer)
+				tr := core.NewTranslator(src.Spec, core.WithMemo(memo), core.WithTracer(tracer))
 				if _, _, err := tr.TranslateWithFilter(q, core.AlgTDQM); err != nil {
 					t.Fatalf("%s over %s: %v", tc.name, src.Name, err)
 				}

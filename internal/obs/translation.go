@@ -4,7 +4,7 @@ import "sync"
 
 // TranslationMetrics is the metric set the translation core feeds: per-rule
 // fire/suppress counters and per-spec algorithm work counters, all labeled
-// by mapping specification. Attach one to a core.Translator (SetMetrics) or
+// by mapping specification. Attach one to a core.Translator (WithMetrics) or
 // a mediator (Mediator.Metrics); the same instance may serve any number of
 // translators concurrently.
 //

@@ -55,12 +55,16 @@ type BreakerConfig struct {
 	// ratio is meaningful; the breaker never trips on fewer (default 8).
 	MinSamples int
 	// OpenFor is how long a tripped breaker fails fast before letting
-	// half-open probes through (default 1s).
+	// half-open probes through (default DefaultOpenFor).
 	OpenFor time.Duration
 	// HalfOpenProbes bounds the concurrent probe requests the half-open
 	// state admits (default 1).
 	HalfOpenProbes int
 }
+
+// DefaultOpenFor is a tripped breaker's cool-down when BreakerConfig leaves
+// OpenFor unset.
+const DefaultOpenFor = time.Second
 
 // withDefaults fills unset fields.
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -74,7 +78,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 		c.MinSamples = 8
 	}
 	if c.OpenFor <= 0 {
-		c.OpenFor = time.Second
+		c.OpenFor = DefaultOpenFor
 	}
 	if c.HalfOpenProbes <= 0 {
 		c.HalfOpenProbes = 1
