@@ -330,7 +330,7 @@ func BenchmarkServeParallel(b *testing.B) {
 		"clbooks": engine.BuildIndexes(catalog, "publisher"),
 	}
 	data := map[string]*engine.Relation{"amazon": catalog, "clbooks": catalog}
-	srv := serve.New(med, data, serve.Config{CacheSize: 64})
+	srv := serve.New(med, data, serve.Config{Cache: serve.CacheConfig{Size: 64}})
 	queries := []*qtree.Node{
 		qparse.MustParse(`[ln = "Clancy"] and [fn = "Tom"]`),
 		qparse.MustParse(`[pyear = 1997] and [pmonth = 5]`),
@@ -350,48 +350,11 @@ func BenchmarkServeParallel(b *testing.B) {
 	b.ReportMetric(srv.Stats().HitRate()*100, "hit%")
 }
 
-// BenchmarkServeStreaming drives the streaming per-shard pipeline (ISSUE 6
-// tentpole) over growing bookstore catalogs with a year-range query whose
-// answer grows linearly with the catalog. Each size reports answers/op (the
-// result size actually streamed) and peak-tuples (the qmap_stream_peak_in_flight
-// high-water mark): ns/op grows with the catalog while peak-tuples stays
-// bounded by O(shards × buffer) — the pipeline's memory-bound claim.
-func BenchmarkServeStreaming(b *testing.B) {
-	const shards, buffer = 4, 8
-	query := qparse.MustParse(`[pyear = 1997] or [pyear = 1996]`)
-	for _, nBooks := range []int{500, 2000, 8000} {
-		b.Run(fmt.Sprintf("books=%d", nBooks), func(b *testing.B) {
-			med := mediator.New(sources.NewAmazon(), sources.NewClbooks())
-			catalog := sources.BookRelation("catalog", sources.GenBooks(5, nBooks))
-			data := map[string]*engine.Relation{"amazon": catalog, "clbooks": catalog}
-			srv := serve.New(med, data, serve.Config{
-				CacheSize:    16,
-				Stream:       true,
-				Shards:       shards,
-				StreamBuffer: buffer,
-			})
-			ctx := context.Background()
-			var answers int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rel, err := srv.Query(ctx, query)
-				if err != nil {
-					b.Fatal(err)
-				}
-				answers = rel.Len()
-			}
-			st := srv.Stats()
-			b.ReportMetric(float64(answers), "answers/op")
-			b.ReportMetric(float64(st.StreamPeakInFlight), "peak-tuples")
-		})
-	}
-}
-
 // BenchmarkServeSharedMatchCache isolates the cross-request matchings cache
 // (ISSUE 5 tentpole): the translation cache is pinned to one entry so a
 // rotation of distinct queries re-translates on every request, and the only
 // cross-request reuse is SCM matchings through the shared MatchCache. "off"
-// disables it (MatchCacheSize < 0); "warm" runs with the default cache and
+// disables it (Cache.MatchCacheSize < 0); "warm" runs with the default cache and
 // reports its hit rate.
 func BenchmarkServeSharedMatchCache(b *testing.B) {
 	s := workload.New(workload.Config{Indep: 6, Pairs: 3, InexactPairs: 2, Triples: 1})
@@ -408,7 +371,7 @@ func BenchmarkServeSharedMatchCache(b *testing.B) {
 	}{{"off", -1}, {"warm", 0}} {
 		b.Run(variant.name, func(b *testing.B) {
 			med := mediator.New(&sources.Source{Name: "w1", Spec: s.Spec, Eval: s.Eval})
-			srv := serve.New(med, nil, serve.Config{CacheSize: 1, MatchCacheSize: variant.size})
+			srv := serve.New(med, nil, serve.Config{Cache: serve.CacheConfig{Size: 1, MatchCacheSize: variant.size}})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := srv.Translate(ctx, queries[i%len(queries)]); err != nil {

@@ -11,11 +11,9 @@
 // (-matchcache), per-source execution fans out in parallel under a bounded
 // worker pool with a per-source timeout, and atomic counters — including
 // match-cache hits, misses, and evictions — are exported at /stats.
-// With -stream, /query answers flow through the streaming per-shard pipeline
-// (internal/stream): each source's data is split across -shards shards that
-// emit tuples through bounded channels into a deterministic k-way merge, and
-// qmap_stream_* metrics appear at /metrics (see docs/streaming.md).
-// With -index, both execution paths answer via cost-based access paths —
+// By default each source's selection runs on a column snapshot of its data,
+// and union branches merge by a rank table built once (see docs/serving.md).
+// With -index, every source selection answers via cost-based access paths —
 // selectivity-ranked hash/range/prefix/token index probes with scan
 // fallback, byte-identical answers — and qmap_index_* metrics appear at
 // /metrics (see docs/performance.md §6).
@@ -92,8 +90,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent source executions (0 = 2×GOMAXPROCS)")
 	srcTimeout := flag.Duration("source-timeout", 10*time.Second, "per-source execution timeout (0 = none)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
-	streaming := flag.Bool("stream", false, "answer /query on the streaming per-shard pipeline (bounded memory, qmap_stream_* metrics)")
-	shards := flag.Int("shards", 4, "shards per source on the streaming path (with -stream)")
 	index := flag.Bool("index", false, "build cost-based access paths per source and answer via selectivity-ranked index probes (qmap_index_* metrics)")
 	breaker := flag.Bool("breaker", false, "per-source circuit breakers: a tripped source fails fast with a typed error (qmap_breaker_* metrics)")
 	hedge := flag.Bool("hedge", false, "hedge straggling source executions after the tracked latency-quantile delay (qmap_hedge_* metrics)")
@@ -106,10 +102,6 @@ func main() {
 			Size:           *cacheSize,
 			MatchCacheSize: *matchCache,
 			Admission:      *admission,
-		},
-		Streaming: serve.StreamConfig{
-			Enabled: *streaming,
-			Shards:  *shards,
 		},
 		Resilience: serve.ResilienceConfig{
 			Breaker: *breaker,
@@ -135,11 +127,8 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	mode := ""
-	if *streaming {
-		mode = fmt.Sprintf(" (streaming, %d shards/source)", *shards)
-	}
 	if *index {
-		mode += " (indexed access paths)"
+		mode = " (indexed access paths)"
 	}
 	if *breaker || *hedge || *retries > 1 {
 		mode += " (resilient fan-out)"

@@ -15,7 +15,7 @@ import (
 
 func testServer(t *testing.T) *server {
 	t.Helper()
-	return newServer(7, 120, serve.Config{CacheSize: 64})
+	return newServer(7, 120, serve.Config{Cache: serve.CacheConfig{Size: 64}})
 }
 
 func TestHandleTranslate(t *testing.T) {

@@ -54,13 +54,9 @@ type benchEntry struct {
 	// HitRatePct is the shared matchings-cache hit rate over the whole
 	// measurement, for the cache benchmarks.
 	HitRatePct float64 `json:"hit_rate_pct,omitempty"`
-	// PeakInFlight is the streaming pipeline's peak in-flight tuple count
-	// over the measurement, for the stream/peak benchmarks — the empirical
-	// side of the shards × (buffer+2) memory bound.
-	PeakInFlight float64 `json:"peak_in_flight,omitempty"`
 	// ScannedTuples is the number of tuples evaluated per operation, for the
-	// scan/* and indexed-stream benchmarks — the evidence that index probes
-	// touch candidates instead of the universe.
+	// scan/* benchmarks — the evidence that index probes touch candidates
+	// instead of the universe (see indexedRows).
 	ScannedTuples float64 `json:"scanned_tuples,omitempty"`
 	// P99NsPerOp is the 99th-percentile per-request wall time for the
 	// tail-latency benchmarks (hedge/tail/*) — the quantity hedged source
@@ -70,8 +66,8 @@ type benchEntry struct {
 	// HedgesWonPct is the fraction of requests won by a hedged attempt over
 	// the measurement, for the hedge/tail/on row.
 	HedgesWonPct float64 `json:"hedges_won_pct,omitempty"`
-	// AllocsPerOp is heap allocations per operation, for the scan/full and
-	// scan/compiled rows.
+	// AllocsPerOp is heap allocations per operation, for the scan/full,
+	// scan/compiled and union rows.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// CompiledPct is the share of operations the column snapshot answered
 	// on its rows, for the scan/compiled rows (see compiledFloor).
@@ -202,7 +198,7 @@ func runBenchSuite() []benchEntry {
 
 	out = append(out, runServeCacheBench()...)
 	out = append(out, runBatchBench()...)
-	out = append(out, runStreamBench()...)
+	out = append(out, runUnionBench()...)
 	out = append(out, runScanBench()...)
 	out = append(out, runJoinBench()...)
 	out = append(out, runComposeBench()...)
@@ -221,7 +217,7 @@ func runBenchSuite() []benchEntry {
 // hedge win.
 func runHedgeBench() []benchEntry {
 	ctx := context.Background()
-	q := streamBenchQuery()
+	q := unionBenchQuery()
 	const reqs = 400
 	var out []benchEntry
 	for _, variant := range []struct {
@@ -471,7 +467,7 @@ func runComposeBench() []benchEntry {
 }
 
 // bookstoreStack builds the Amazon+Clbooks union stack over a generated
-// catalog — the fixture the streaming benchmarks execute against.
+// catalog — the fixture the union and hedge benchmarks execute against.
 func bookstoreStack(nBooks int, cfg serve.Config) *serve.Server {
 	med := mediator.New(sources.NewAmazon(), sources.NewClbooks())
 	catalog := sources.BookRelation("catalog", sources.GenBooks(5, nBooks))
@@ -479,68 +475,38 @@ func bookstoreStack(nBooks int, cfg serve.Config) *serve.Server {
 	return serve.New(med, data, cfg)
 }
 
-// streamBenchQuery selects a year's worth of books — a result that grows
-// linearly with the catalog, which is what makes the peak-in-flight
-// benchmarks meaningful.
-func streamBenchQuery() *qtree.Node {
+// unionBenchQuery selects two years' worth of books — an answer that grows
+// linearly with the catalog.
+func unionBenchQuery() *qtree.Node {
 	return qtree.Or(
 		qtree.Leaf(qtree.Sel(qtree.A("pyear"), qtree.OpEq, values.Int(1997))),
 		qtree.Leaf(qtree.Sel(qtree.A("pyear"), qtree.OpEq, values.Int(1996))),
 	)
 }
 
-// runStreamBench measures the streaming execution path: latency against the
-// materialized baseline at shards 1 and 8, and peak in-flight tuples across
-// growing catalogs at fixed shards × buffer — recorded so the trajectory
-// file witnesses that per-request memory does not scale with result size.
-func runStreamBench() []benchEntry {
+// unionBenchBooks are the catalog sizes of the union/books=N rows.
+var unionBenchBooks = []int{1000, 4000, 8000}
+
+// runUnionBench times Server.Query of unionBenchQuery on growing catalogs,
+// with a warm translation cache: selection on the column snapshots, the
+// branch filters and the ranked merge, each row with its heap allocations
+// per request.
+func runUnionBench() []benchEntry {
 	ctx := context.Background()
-	q := streamBenchQuery()
+	q := unionBenchQuery()
 	var out []benchEntry
-
-	const benchBooks = 4000
-	for _, variant := range []struct {
-		name string
-		cfg  serve.Config
-	}{
-		{"stream/union/materialized", serve.Config{CacheSize: 16}},
-		{"stream/union/shards=1", serve.Config{CacheSize: 16, Stream: true, Shards: 1}},
-		{"stream/union/shards=8", serve.Config{CacheSize: 16, Stream: true, Shards: 8}},
-		{"stream/union/indexed/shards=1", serve.Config{CacheSize: 16, Stream: true, Shards: 1, Index: true}},
-		{"stream/union/indexed/shards=8", serve.Config{CacheSize: 16, Stream: true, Shards: 8, Index: true}},
-	} {
-		srv := bookstoreStack(benchBooks, variant.cfg)
-		ops := 0
-		entry := benchEntry{
-			Name: variant.name,
-			NsPerOp: timeOp(func() {
-				ops++
-				if _, err := srv.Query(ctx, q); err != nil {
-					panic(err)
-				}
-			}),
+	for _, books := range unionBenchBooks {
+		srv := bookstoreStack(books, serve.Config{Cache: serve.CacheConfig{Size: 16}})
+		query := func() {
+			if _, err := srv.Query(ctx, q); err != nil {
+				panic(err)
+			}
 		}
-		if variant.cfg.Index {
-			entry.ScannedTuples = math.Round(float64(srv.Stats().IndexScanned) / float64(ops))
-		}
-		out = append(out, entry)
-	}
-
-	const shards, buffer = 4, 8
-	for _, tuples := range []int{1000, 8000} {
-		srv := bookstoreStack(tuples, serve.Config{
-			CacheSize: 16, Stream: true, Shards: shards, StreamBuffer: buffer,
+		out = append(out, benchEntry{
+			Name:        fmt.Sprintf("union/books=%d", books),
+			NsPerOp:     timeOp(query),
+			AllocsPerOp: testing.AllocsPerRun(100, query),
 		})
-		entry := benchEntry{
-			Name: fmt.Sprintf("stream/peak/tuples=%d", tuples),
-			NsPerOp: timeOp(func() {
-				if _, err := srv.Query(ctx, q); err != nil {
-					panic(err)
-				}
-			}),
-		}
-		entry.PeakInFlight = float64(srv.Stats().StreamPeakInFlight)
-		out = append(out, entry)
 	}
 	return out
 }
@@ -656,14 +622,10 @@ func benchNames() []string {
 		"serve/sharedmatchcache/off",
 		"serve/sharedmatchcache/warm",
 		"batch/loop",
-		"batch/translatebatch",
-		"stream/union/materialized",
-		"stream/union/shards=1",
-		"stream/union/shards=8",
-		"stream/union/indexed/shards=1",
-		"stream/union/indexed/shards=8",
-		"stream/peak/tuples=1000",
-		"stream/peak/tuples=8000")
+		"batch/translatebatch")
+	for _, books := range unionBenchBooks {
+		names = append(names, fmt.Sprintf("union/books=%d", books))
+	}
 	for _, v := range []string{"eq", "range", "contains"} {
 		names = append(names, "scan/full/"+v, "scan/compiled/"+v, "scan/indexed/"+v)
 	}
@@ -804,8 +766,10 @@ func checkBenchJSON(path string) error {
 			path, f.QbenchFlags, registeredFlagNames())
 	}
 	var recorded []string
+	scanned := make(map[string]float64)
 	for _, b := range f.Benchmarks {
 		recorded = append(recorded, b.Name)
+		scanned[b.Name] = b.ScannedTuples
 	}
 	if got, want := fmt.Sprint(recorded), fmt.Sprint(benchNames()); got != want {
 		return fmt.Errorf("%s is stale: recorded benchmarks %v, suite is %v (regenerate with qbench -bench-json)",
@@ -820,6 +784,13 @@ func checkBenchJSON(path string) error {
 			return fmt.Errorf("%s: %s records %.1f%% of its operations answered on the column snapshot, below the %.0f%% that shows the compiled path ran",
 				path, b.Name, b.CompiledPct, float64(compiledFloor))
 		}
+		if kind, ok := strings.CutPrefix(b.Name, indexedRows); ok {
+			full := fullScanRows + kind
+			if b.ScannedTuples >= scanned[full] {
+				return fmt.Errorf("%s: %s records %.0f scanned tuples, not below %s's %.0f, so its index probes did not run",
+					path, b.Name, b.ScannedTuples, full, scanned[full])
+			}
+		}
 	}
 	return nil
 }
@@ -828,10 +799,14 @@ func checkBenchJSON(path string) error {
 // percent hits it measured some other layer, so -bench-check rejects it.
 // The compiledRows time Snapshot.Select; an operation the snapshot did not
 // answer timed the tuple path, so -bench-check rejects any row below
-// compiledFloor percent.
+// compiledFloor percent. An indexedRows row that evaluates no fewer tuples
+// than the fullScanRows row of its kind scanned instead of probing, so
+// -bench-check rejects it too.
 const (
 	warmCacheRow   = "serve/sharedmatchcache/warm"
 	warmCacheFloor = 90
 	compiledRows   = "scan/compiled/"
 	compiledFloor  = 100
+	indexedRows    = "scan/indexed/"
+	fullScanRows   = "scan/full/"
 )

@@ -36,6 +36,10 @@ func passingRow(e *benchEntry) {
 		e.HitRatePct = 97.5
 	case strings.HasPrefix(e.Name, compiledRows):
 		e.CompiledPct = 100
+	case strings.HasPrefix(e.Name, fullScanRows):
+		e.ScannedTuples = 4000
+	case strings.HasPrefix(e.Name, indexedRows):
+		e.ScannedTuples = 20
 	}
 }
 
@@ -80,6 +84,29 @@ func TestBenchCheckRejectsUncompiledScanRow(t *testing.T) {
 			}))
 			if err == nil || !strings.Contains(err.Error(), row) {
 				t.Errorf("%s at %.1f%%: err = %v, want a failure naming the row", row, pct, err)
+			}
+		}
+	}
+}
+
+// TestBenchCheckRejectsUnprobedIndexedRow: a scan/indexed row that evaluates
+// no fewer tuples than the scan/full row of its kind fails -bench-check,
+// because its index probes then did not run.
+func TestBenchCheckRejectsUnprobedIndexedRow(t *testing.T) {
+	for _, v := range []string{"eq", "range", "contains"} {
+		row := "scan/indexed/" + v
+		for _, scanned := range []float64{4000, 4001} {
+			err := checkBenchJSON(writeBenchFile(t, func(e *benchEntry) {
+				passingRow(e)
+				switch e.Name {
+				case "scan/full/" + v:
+					e.ScannedTuples = 4000
+				case row:
+					e.ScannedTuples = scanned
+				}
+			}))
+			if err == nil || !strings.Contains(err.Error(), row) {
+				t.Errorf("%s scanning %.0f of 4000 tuples: err = %v, want a failure naming the row", row, scanned, err)
 			}
 		}
 	}

@@ -88,13 +88,11 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.serveMode.requests, "requests", 10000, "serve mode: total requests")
 	fs.IntVar(&o.serveMode.distinct, "distinct", 64, "serve mode: distinct queries in rotation")
 	fs.IntVar(&o.serveMode.cache, "cache", 256, "serve mode: translation cache capacity")
-	fs.IntVar(&o.serveMode.tuples, "tuples", 500, "serve mode: universe tuples per source shard")
+	fs.IntVar(&o.serveMode.tuples, "tuples", 500, "serve mode: universe tuples per source")
 	fs.BoolVar(&o.serveMode.metrics, "metrics", false, "serve mode: print the Prometheus metrics exposition after the run")
 	fs.IntVar(&o.serveMode.par, "par", 0, "serve mode: per-translation worker pool size (0 = sequential)")
 	fs.IntVar(&o.serveMode.batch, "batch", 0, "serve mode: translate in batches of this size instead of executing queries (0 = off)")
 	fs.IntVar(&o.serveMode.matchcache, "matchcache", 0, "serve mode: shared matchings-cache capacity (0 = default, negative disables)")
-	fs.BoolVar(&o.serveMode.stream, "stream", false, "serve mode: answer queries on the streaming per-shard pipeline")
-	fs.IntVar(&o.serveMode.shards, "shards", 4, "serve mode: shards per source on the streaming path")
 	fs.BoolVar(&o.serveMode.index, "index", false, "serve mode: answer via cost-based access paths (selectivity-ranked index probes)")
 	fs.IntVar(&o.serveMode.rps, "rps", 0, "serve mode: drill — pace requests at this fixed rate and report p50/p95/p99 latency (0 = closed loop)")
 	fs.DurationVar(&o.serveMode.slo, "slo", 0, "drill mode: fail (exit 1) when p99 latency exceeds this (0 = report only)")

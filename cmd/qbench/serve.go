@@ -25,13 +25,11 @@ type serveOptions struct {
 	requests   int  // total requests across all clients
 	distinct   int  // distinct queries in the rotation (cache working set)
 	cache      int  // translation-cache capacity
-	tuples     int  // universe tuples per source shard
+	tuples     int  // universe tuples per source
 	metrics    bool // print the Prometheus exposition after the run
 	par        int  // per-translation worker pool (mediator.Parallelism)
 	batch      int  // translate in batches of this size instead of executing (0 = off)
 	matchcache int  // shared matchings-cache capacity (0 = default, negative disables)
-	stream     bool // answer queries on the streaming per-shard pipeline
-	shards     int  // shards per source on the streaming path
 	index      bool // answer via cost-based access paths (index probes)
 
 	// Drill mode: fixed-RPS open-loop load with latency-percentile SLO
@@ -48,8 +46,8 @@ type serveOptions struct {
 
 // runServe drives internal/serve with C concurrent clients over the
 // synthetic workload generator and reports throughput and cache behavior.
-// Two sources share the generated vocabulary but hold independent data
-// shards, so every request fans out across both in parallel. With -rps the
+// Two sources share the generated vocabulary but hold independent data,
+// so every request fans out across both in parallel. With -rps the
 // run switches to the open-loop drill mode: requests are paced at the fixed
 // target rate, per-request latency is measured from the intended start time
 // (so queueing delay counts), and the run fails when p99 exceeds -slo.
@@ -89,10 +87,6 @@ func runServe(opt serveOptions) error {
 			MatchCacheSize: opt.matchcache,
 			Admission:      opt.admit,
 		},
-		Streaming: serve.StreamConfig{
-			Enabled: opt.stream,
-			Shards:  opt.shards,
-		},
 		Resilience: serve.ResilienceConfig{
 			Breaker: opt.breaker,
 			Hedge:   opt.hedge,
@@ -111,9 +105,6 @@ func runServe(opt serveOptions) error {
 				return nil, err
 			}
 			return serve.DefaultExecutor(ctx, source, rel, q, ev, ix, acc)
-		}
-		if opt.stream {
-			scfg.Streaming.Hook = inj.ApplyShard
 		}
 	}
 	srv := serve.New(med, data, scfg)
@@ -171,9 +162,6 @@ func runServe(opt serveOptions) error {
 
 	st := srv.Stats()
 	mode := "executed queries"
-	if opt.stream {
-		mode = fmt.Sprintf("executed queries (streaming, %d shards/source)", opt.shards)
-	}
 	if opt.index {
 		mode += " (indexed access paths)"
 	}
@@ -193,14 +181,6 @@ func runServe(opt serveOptions) error {
 		{"cache hits/misses/shared", fmt.Sprintf("%d/%d/%d", st.CacheHits, st.CacheMisses, st.CacheShared)},
 		{"cache entries/evictions", fmt.Sprintf("%d/%d", st.CacheEntries, st.CacheEvictions)},
 		{"source timeouts", fmt.Sprintf("%d", st.Timeouts)},
-	}
-	if opt.stream {
-		rows = append(rows,
-			[]string{"stream requests", fmt.Sprintf("%d", st.StreamRequests)},
-			[]string{"stream tuples emitted", fmt.Sprintf("%d", st.StreamEmitted)},
-			[]string{"stream peak in-flight", fmt.Sprintf("%d", st.StreamPeakInFlight)},
-			[]string{"stream merge waits", fmt.Sprintf("%d", st.StreamMergeWaits)},
-		)
 	}
 	if opt.index {
 		rows = append(rows,

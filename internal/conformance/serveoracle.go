@@ -33,6 +33,9 @@ func permute(q *qtree.Node) *qtree.Node {
 	return cp
 }
 
+// cache64 is the translation cache every serve grid point runs with.
+var cache64 = serve.CacheConfig{Size: 64}
+
 // serveConfig is one point of the serve-equivalence grid.
 type serveConfig struct {
 	name string
@@ -45,14 +48,13 @@ type serveConfig struct {
 // checkServe stands up the serving stack over the case's scenario — the data
 // split across two sources sharing the scenario's vocabulary — and demands
 // that every grid point — cache on / effectively off × sequential / parallel
-// workers × {materialized, streaming with shards 1, 2, 8} — answers both the
-// original query and a structurally permuted equivalent byte-identically to
-// the sequential mediator baseline (mediator.ExecuteUnion). With
-// Options.Faults set it re-runs the grid under an injected fault mix
-// (transient errors, benign delays, timeout-tripping stalls; per-shard
-// streams on the streaming points) and additionally demands that failures
-// carry only typed errors and that retrying reaches the exact baseline
-// answer.
+// workers, with and without access paths and the resilience layer — answers
+// both the original query and a structurally permuted equivalent
+// byte-identically to the sequential mediator baseline
+// (mediator.ExecuteUnion). With Options.Faults set it re-runs the grid under
+// an injected fault mix (transient errors, benign delays, timeout-tripping
+// stalls) and additionally demands that failures carry only typed errors and
+// that retrying reaches the exact baseline answer.
 func (h *Harness) checkServe(c *Case) *Violation {
 	med, data := c.serveStack()
 	want, _, err := med.ExecuteUnion(c.Query, data)
@@ -63,37 +65,27 @@ func (h *Harness) checkServe(c *Case) *Violation {
 	permuted := permute(c.Query)
 
 	grid := []serveConfig{
-		{name: "seq/cache", cfg: serve.Config{Workers: 1, CacheSize: 64}},
-		{name: "par/cache", cfg: serve.Config{Workers: 4, CacheSize: 64}},
-		{name: "par/nocache", cfg: serve.Config{Workers: 4, CacheSize: 64}, fresh: true},
-		{name: "stream/shards=1", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 1}},
-		{name: "stream/shards=2", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 2}},
-		{name: "stream/shards=8", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 8, StreamBuffer: 4}},
-		// The index dimension: cost-based access paths must reproduce each
-		// scan path byte-identically (content and order) on both the
-		// materialized and streaming executors.
-		{name: "seq/cache/index", cfg: serve.Config{Workers: 1, CacheSize: 64, Index: true}},
-		{name: "par/cache/index", cfg: serve.Config{Workers: 4, CacheSize: 64, Index: true}},
-		{name: "stream/shards=1/index", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 1, Index: true}},
-		{name: "stream/shards=2/index", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 2, Index: true}},
-		{name: "stream/shards=8/index", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 8, StreamBuffer: 4, Index: true}},
+		{name: "seq/cache", cfg: serve.Config{Workers: 1, Cache: cache64}},
+		{name: "par/cache", cfg: serve.Config{Workers: 4, Cache: cache64}},
+		{name: "par/nocache", cfg: serve.Config{Workers: 4, Cache: cache64}, fresh: true},
+		// The index dimension: cost-based access paths must reproduce the
+		// scan path byte-identically (content and order).
+		{name: "seq/cache/index", cfg: serve.Config{Workers: 1, Cache: cache64, Index: true}},
+		{name: "par/cache/index", cfg: serve.Config{Workers: 4, Cache: cache64, Index: true}},
 		// The resilience dimension ({breaker on/off} × {hedge on/off}, plus
 		// retries and TinyLFU cache admission): all of it must be invisible
 		// on clean runs — answers byte-identical to the unprotected path,
 		// because breakers only trip on errors, retries only re-run failed
 		// executions, hedges duplicate pure selections, and admission only
 		// decides what is cached, never what is answered.
-		{name: "par/cache/breaker", cfg: serve.Config{Workers: 4, CacheSize: 64,
+		{name: "par/cache/breaker", cfg: serve.Config{Workers: 4, Cache: cache64,
 			Resilience: serve.ResilienceConfig{Breaker: true}}},
-		{name: "par/cache/hedge", cfg: serve.Config{Workers: 4, CacheSize: 64,
+		{name: "par/cache/hedge", cfg: serve.Config{Workers: 4, Cache: cache64,
 			Resilience: serve.ResilienceConfig{Hedge: true}}},
-		{name: "par/cache/breaker+hedge", cfg: serve.Config{Workers: 4, CacheSize: 64,
+		{name: "par/cache/breaker+hedge", cfg: serve.Config{Workers: 4, Cache: cache64,
 			Resilience: serve.ResilienceConfig{Breaker: true, Hedge: true, Retries: 2}}},
 		{name: "par/cache/admission", cfg: serve.Config{Workers: 4,
 			Cache: serve.CacheConfig{Size: 64, Admission: true}}},
-		{name: "stream/shards=2/breaker", cfg: serve.Config{Workers: 4, CacheSize: 64,
-			Stream: true, Shards: 2,
-			Resilience: serve.ResilienceConfig{Breaker: true}}},
 	}
 	ctx := context.Background()
 	stale := staleIndexExecutor()
@@ -101,10 +93,10 @@ func (h *Harness) checkServe(c *Case) *Violation {
 
 	for _, gc := range grid {
 		cfg := gc.cfg
-		if h.opts.Plant == PlantBadIndex && cfg.Index && !cfg.Stream {
+		if h.opts.Plant == PlantBadIndex && cfg.Index {
 			cfg.Executor = stale
 		}
-		if h.opts.Plant == PlantBadBreaker && cfg.Resilience.Breaker && !cfg.Stream {
+		if h.opts.Plant == PlantBadBreaker && cfg.Resilience.Breaker {
 			cfg.Executor = silent
 		}
 		srv := serve.New(med, data, cfg)
@@ -120,17 +112,6 @@ func (h *Harness) checkServe(c *Case) *Violation {
 			if g := renderRelation(got); g != wantS {
 				return &Violation{Oracle: "serve-equivalence", Variant: gc.name,
 					Detail: fmt.Sprintf("answer differs from sequential mediator baseline\nq = %s\ngot %d tuples, want %d", q, got.Len(), want.Len())}
-			}
-		}
-		if gc.cfg.Stream {
-			st := srv.Stats()
-			if st.StreamRequests != 2 {
-				return &Violation{Oracle: "serve-equivalence", Variant: gc.name,
-					Detail: fmt.Sprintf("streaming server answered %d of 2 requests on the streaming path", st.StreamRequests)}
-			}
-			if st.StreamInFlight != 0 {
-				return &Violation{Oracle: "serve-equivalence", Variant: gc.name,
-					Detail: fmt.Sprintf("stream in-flight gauge = %d after requests returned, want 0", st.StreamInFlight)}
 			}
 		}
 		if !gc.fresh {
@@ -227,7 +208,6 @@ const faultTimeout = 5 * time.Millisecond
 func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[string]*engine.Relation, wantS string) *Violation {
 	type faultConfig struct {
 		variant string
-		plan    engine.FaultPlan
 		make    func(inj *engine.Injector) serve.Config
 		// openFor is the breaker's cool-down; the retry loop waits it out
 		// after a fast-fail. Zero without a breaker.
@@ -239,11 +219,10 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 			workers, index := workers, index
 			grid = append(grid, faultConfig{
 				variant: fmt.Sprintf("faults/workers=%d/index=%v", workers, index),
-				plan:    faultPlan,
 				make: func(inj *engine.Injector) serve.Config {
 					return serve.Config{
 						Workers:       workers,
-						CacheSize:     64,
+						Cache:         cache64,
 						SourceTimeout: faultTimeout,
 						Index:         index,
 						Executor: func(ctx context.Context, source string, rel *engine.Relation, q *qtree.Node, ev *engine.Evaluator, ix engine.IndexSet, acc *engine.Access) (*engine.Relation, error) {
@@ -276,12 +255,11 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 		res := res
 		grid = append(grid, faultConfig{
 			variant: "faults/" + res.tag,
-			plan:    faultPlan,
 			openFor: res.rc.BreakerConfig.OpenFor,
 			make: func(inj *engine.Injector) serve.Config {
 				return serve.Config{
 					Workers:       4,
-					CacheSize:     64,
+					Cache:         cache64,
 					SourceTimeout: faultTimeout,
 					Resilience:    res.rc,
 					Executor: func(ctx context.Context, source string, rel *engine.Relation, q *qtree.Node, ev *engine.Evaluator, ix engine.IndexSet, acc *engine.Access) (*engine.Relation, error) {
@@ -294,36 +272,8 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 			},
 		})
 	}
-	for _, shards := range []int{1, 2, 8} {
-		for _, index := range []bool{false, true} {
-			shards, index := shards, index
-			// A streaming request draws one fault per shard instead of one per
-			// source, so scale the per-draw probabilities by 1/shards to keep
-			// per-request fault exposure (and the retry loop's success odds)
-			// comparable to the materialized grid points.
-			plan := faultPlan
-			plan.ErrProb /= float64(shards)
-			plan.StallProb /= float64(shards)
-			grid = append(grid, faultConfig{
-				variant: fmt.Sprintf("faults/stream/shards=%d/index=%v", shards, index),
-				plan:    plan,
-				make: func(inj *engine.Injector) serve.Config {
-					return serve.Config{
-						Workers:       4,
-						CacheSize:     64,
-						SourceTimeout: faultTimeout,
-						Stream:        true,
-						Shards:        shards,
-						StreamBuffer:  4,
-						Index:         index,
-						ShardHook:     inj.ApplyShard,
-					}
-				},
-			})
-		}
-	}
 	for _, fc := range grid {
-		inj := engine.NewInjector(c.Seed, fc.plan)
+		inj := engine.NewInjector(c.Seed, faultPlan)
 		srv := serve.New(med, data, fc.make(inj))
 		ok := false
 		for try := 0; try < h.opts.ServeTries; try++ {

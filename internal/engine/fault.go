@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,10 +80,9 @@ func NewInjector(seed int64, plan FaultPlan) *Injector {
 }
 
 // SetLatency pins a deterministic extra latency on every execution of the
-// named source (its shard executions included — shard streams inherit the
-// base source's pinned latency). A non-positive d clears the pin. Pinned
-// latency composes with the probabilistic plan: the sleep happens first,
-// then the plan draw proceeds as usual.
+// named source. A non-positive d clears the pin. Pinned latency composes
+// with the probabilistic plan: the sleep happens first, then the plan draw
+// proceeds as usual.
 func (in *Injector) SetLatency(source string, d time.Duration) {
 	in.mu.Lock()
 	if d <= 0 {
@@ -111,31 +109,18 @@ func (in *Injector) SetErrorBurst(source string, n int) {
 
 // deterministic resolves the pinned fault decision for one execution of
 // source: the remaining burst error (consuming it) and the pinned latency.
-// Shard names ("source#shard") fall back to the base source's pins.
 func (in *Injector) deterministic(source string) (failNow bool, extra time.Duration) {
-	base := source
-	if i := strings.IndexByte(source, '#'); i >= 0 {
-		base = source[:i]
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for _, name := range []string{source, base} {
-		if n, ok := in.burst[name]; ok {
-			if n <= 1 {
-				delete(in.burst, name)
-			} else {
-				in.burst[name] = n - 1
-			}
-			failNow = true
-			break
+	if n, ok := in.burst[source]; ok {
+		if n <= 1 {
+			delete(in.burst, source)
+		} else {
+			in.burst[source] = n - 1
 		}
+		failNow = true
 	}
-	if d, ok := in.latency[source]; ok {
-		extra = d
-	} else if d, ok := in.latency[base]; ok {
-		extra = d
-	}
-	return failNow, extra
+	return failNow, in.latency[source]
 }
 
 // draw advances the named source's stream by one decision.
@@ -192,16 +177,6 @@ func (in *Injector) Apply(ctx context.Context, source string) error {
 	default:
 		return nil
 	}
-}
-
-// ApplyShard draws the next fault for one shard of the named source, from
-// the shard's own deterministic stream (named "source#shard"). Shard streams
-// are independent of each other and of the plain per-source stream, so the
-// k-th execution of a given (source, shard) pair sees the same fault
-// decision regardless of how shards interleave — the property that makes
-// fault-injected streaming runs replayable from a single case seed.
-func (in *Injector) ApplyShard(ctx context.Context, source string, shard int) error {
-	return in.Apply(ctx, fmt.Sprintf("%s#%d", source, shard))
 }
 
 // Errors returns the number of transient errors injected so far.

@@ -83,11 +83,8 @@ func TestInjectorErrorBurst(t *testing.T) {
 	if in.Errors() != 3 {
 		t.Fatalf("Errors = %d, want 3", in.Errors())
 	}
-	// Bursts are per source; shard streams inherit the base source's burst.
+	// Bursts are per source.
 	in.SetErrorBurst("s", 1)
-	if err := in.ApplyShard(context.Background(), "s", 2); !errors.Is(err, ErrInjected) {
-		t.Fatalf("shard did not inherit the base burst: %v", err)
-	}
 	if err := in.Apply(context.Background(), "other"); err != nil {
 		t.Fatalf("burst leaked across sources: %v", err)
 	}

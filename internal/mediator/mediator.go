@@ -118,8 +118,8 @@ type Translation struct {
 // the branch residue when it is usable as-is (a tight residue from a simple
 // conjunction, or an exact branch whose residue is True), otherwise the
 // whole query — the safe fallback for complex queries whose residue is only
-// sound branch-locally. ExecuteUnion, the serving layer, and the streaming
-// pipeline all share this decision so the three paths cannot drift.
+// sound branch-locally. ExecuteUnion and the serving layer share this
+// decision so the two paths cannot drift.
 func (tr *Translation) BranchFilter(st *SourceTranslation) *qtree.Node {
 	filter := st.Residue
 	if !tr.Query.IsSimpleConjunction() && !filter.IsTrue() {

@@ -29,16 +29,11 @@ const (
 	KindSCM = "scm"
 	// KindMatch is one rule's matching attempt within an M(·, K) pass.
 	KindMatch = "match"
-	// KindStream is a streaming-execution summary span emitted by the
-	// serving layer's per-shard pipeline (internal/stream). It appears only
-	// on streaming requests, never inside translation traces, so the golden
-	// translation trees are unaffected.
-	KindStream = "stream"
 	// KindAccess is an access-path span emitted by the serving layer when
 	// index-backed execution is on: one span per source per request, whose
 	// name records the planner's chosen path (e.g. "books eq(pyear):12" or
-	// "books scan"). Like KindStream it never appears inside translation
-	// traces.
+	// "books scan"). It never appears inside translation traces, so the
+	// golden translation trees are unaffected.
 	KindAccess = "access"
 	// KindBreaker is a circuit-breaker summary span emitted by the serving
 	// layer per source per request when breakers are on: the name carries

@@ -46,7 +46,7 @@ func TestServeMatchCacheGrid(t *testing.T) {
 
 	for _, g := range []struct {
 		name       string
-		matchcache int // Config.MatchCacheSize
+		matchcache int // Config.Cache.MatchCacheSize
 		par        int // mediator.Parallelism
 	}{
 		{"cache-off/seq", -1, 0},
@@ -57,7 +57,7 @@ func TestServeMatchCacheGrid(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			med, data := newBookstoreMediator()
 			med.Parallelism = g.par
-			srv := New(med, data, Config{MatchCacheSize: g.matchcache})
+			srv := New(med, data, Config{Cache: CacheConfig{MatchCacheSize: g.matchcache}})
 			if (srv.MatchCache() != nil) != (g.matchcache >= 0) {
 				t.Fatalf("MatchCache() nil-ness wrong for MatchCacheSize %d", g.matchcache)
 			}
@@ -114,9 +114,9 @@ func TestServeMatchCacheChurnSoak(t *testing.T) {
 
 	const capacity = 2
 	med, data := newBookstoreMediator()
-	// CacheSize 1 keeps the translation cache from absorbing the workload:
+	// Cache.Size 1 keeps the translation cache from absorbing the workload:
 	// almost every request re-translates and so re-consults the match cache.
-	srv := New(med, data, Config{CacheSize: 1, MatchCacheSize: capacity})
+	srv := New(med, data, Config{Cache: CacheConfig{Size: 1, MatchCacheSize: capacity}})
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -224,7 +224,7 @@ func TestServerTranslateBatch(t *testing.T) {
 // through the server's cache, visible as hits without any Stats divergence.
 func TestServeSharesOneMatchCacheAcrossRequests(t *testing.T) {
 	med, data := newBookstoreMediator()
-	srv := New(med, data, Config{CacheSize: 1})
+	srv := New(med, data, Config{Cache: CacheConfig{Size: 1}})
 	ctx := context.Background()
 
 	// The {ln, fn} conjunction appears as q1's whole constraint set and as

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ func TestStatsInvariantUnderConcurrency(t *testing.T) {
 	const goroutines = 16
 	const perG = 200
 
-	srv, _, _ := bookstoreServer(Config{CacheSize: 64, Workers: 8})
+	srv, _, _ := bookstoreServer(Config{Cache: CacheConfig{Size: 64}, Workers: 8})
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -72,7 +73,7 @@ func TestStatsInvariantUnderConcurrency(t *testing.T) {
 // the server's registry in the exposition format and agrees with Stats().
 func TestServerMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, med, _ := bookstoreServer(Config{CacheSize: 16, Metrics: reg})
+	srv, med, _ := bookstoreServer(Config{Cache: CacheConfig{Size: 16}, Metrics: reg})
 	med.Metrics = obs.NewTranslationMetrics(reg)
 	if srv.Metrics() != reg {
 		t.Fatal("Metrics() did not return the configured registry")
@@ -144,5 +145,116 @@ func TestServerMetricsExposition(t *testing.T) {
 	// re-count, so exactly one translation ran SCM.
 	if v, ok := byName("qmap_scm_calls_total", "spec", "K_Amazon"); !ok || v != 1 {
 		t.Errorf("qmap_scm_calls_total{spec=K_Amazon} = %v (present %v), want 1 (one uncached translation)", v, ok)
+	}
+}
+
+// statsMetricFor maps a Stats JSON field name to the registry metric that
+// must back it. The stats-drift test below fails when a field is added to
+// one surface only.
+var statsMetricFor = map[string]string{
+	"requests":             "qmap_serve_requests_total",
+	"in_flight":            "qmap_serve_in_flight",
+	"cache_hits":           "qmap_cache_hits_total",
+	"cache_misses":         "qmap_cache_misses_total",
+	"cache_shared":         "qmap_cache_shared_total",
+	"cache_entries":        "qmap_cache_entries",
+	"cache_evictions":      "qmap_cache_evictions_total",
+	"matchcache_hits":      "qmap_matchcache_hits_total",
+	"matchcache_misses":    "qmap_matchcache_misses_total",
+	"matchcache_evictions": "qmap_matchcache_evictions_total",
+	"matchcache_entries":   "qmap_matchcache_entries",
+	"index_probes":         "qmap_index_probes_total",
+	"index_fallbacks":      "qmap_index_fallbacks_total",
+	"index_scanned_tuples": "qmap_index_scanned_tuples_total",
+	"breaker_trips":        "qmap_breaker_trips_total",
+	"hedges_launched":      "qmap_hedge_launched_total",
+	"hedges_won":           "qmap_hedge_won_total",
+	"retries":              "qmap_retry_total",
+	"admission_rejected":   "qmap_admission_rejected_total",
+	"timeouts":             "qmap_serve_timeouts_total",
+	"errors":               "qmap_serve_errors_total",
+	// Per-source maps and display labels have labeled/derived backing:
+	"sources":        "qmap_source_latency_seconds",
+	"latency_labels": "", // presentation-only: names the histogram buckets
+}
+
+// TestStatsMetricsDrift asserts every field of the GET /stats JSON shape has
+// a matching metric in the server's registry (or an explicit presentation
+// exemption), so a counter can't be added to one surface and forgotten on
+// the other.
+func TestStatsMetricsDrift(t *testing.T) {
+	srv, _, _ := bookstoreServer(Config{Index: true})
+	// Touch the query path so functional collectors have live backing state.
+	if _, err := srv.Query(context.Background(), qparse.MustParse(`[publisher = "aw"]`)); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf strings.Builder
+	if err := srv.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseExposition(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := make(map[string]bool, len(samples))
+	for _, s := range samples {
+		exported[s.Name] = true
+		// Histograms expand to _bucket/_sum/_count; credit the base name.
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			exported[strings.TrimSuffix(s.Name, suffix)] = true
+		}
+	}
+
+	st := reflect.TypeOf(Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		tag := strings.Split(st.Field(i).Tag.Get("json"), ",")[0]
+		if tag == "-" {
+			continue // not part of the GET /stats JSON shape
+		}
+		if tag == "" {
+			t.Errorf("Stats field %s has no json tag", st.Field(i).Name)
+			continue
+		}
+		metric, known := statsMetricFor[tag]
+		if !known {
+			t.Errorf("Stats field %q has no entry in statsMetricFor: add the backing metric and map it", tag)
+			continue
+		}
+		if metric == "" {
+			continue // explicit presentation-only exemption
+		}
+		if !exported[metric] {
+			t.Errorf("Stats field %q maps to metric %q, which the registry does not export", tag, metric)
+		}
+	}
+
+	// The reverse direction: every mapped metric name must actually exist,
+	// so the table can't rot either.
+	for tag, metric := range statsMetricFor {
+		if metric != "" && !exported[metric] {
+			t.Errorf("statsMetricFor[%q] = %q not present in exposition", tag, metric)
+		}
+	}
+
+	// SourceStats fields are label-backed; check them explicitly.
+	for field, metric := range map[string]string{
+		"executions":      "qmap_source_latency_seconds", // histogram count
+		"timeouts":        "qmap_source_timeouts_total",
+		"latency_buckets": "qmap_source_latency_seconds",
+		"breaker_state":   "qmap_breaker_state",
+	} {
+		if !exported[metric] {
+			t.Errorf("SourceStats field %q maps to metric %q, which the registry does not export", field, metric)
+		}
+	}
+	sst := reflect.TypeOf(SourceStats{})
+	for i := 0; i < sst.NumField(); i++ {
+		tag := strings.Split(sst.Field(i).Tag.Get("json"), ",")[0]
+		switch tag {
+		case "executions", "timeouts", "latency_buckets", "breaker_state":
+		default:
+			t.Errorf("SourceStats field %q has no metric mapping in TestStatsMetricsDrift", tag)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/stream"
 )
 
 // Option configures a Server at construction time; pass options to
@@ -61,35 +60,9 @@ func WithMatchCacheSize(n int) Option {
 	return func(c *Config) { c.Cache.MatchCacheSize = n }
 }
 
-// WithStreaming enables the tuple-at-a-time execution pipeline with the
-// given shard count per source (1 if shards <= 0). Answers are identical to
-// the materialized path; per-request memory is bounded by shards × buffer.
-func WithStreaming(shards int) Option {
-	return func(c *Config) { c.Streaming.Enabled = true; c.Streaming.Shards = shards }
-}
-
-// WithStreamBuffer sets the per-shard channel capacity on the streaming
-// path (stream.DefaultBuffer if n <= 0).
-func WithStreamBuffer(n int) Option {
-	return func(c *Config) { c.Streaming.Buffer = n }
-}
-
-// WithBuildBudget bounds the materialized build side of a streaming join in
-// tuples (DefaultBuildBudget if n <= 0).
-func WithBuildBudget(n int) Option {
-	return func(c *Config) { c.Streaming.BuildBudget = n }
-}
-
-// WithShardHook runs h at the start of every shard execution on the
-// streaming path — the per-shard seam for fault injection and admission
-// checks.
-func WithShardHook(h stream.Hook) Option {
-	return func(c *Config) { c.Streaming.Hook = h }
-}
-
 // WithIndex builds a cost-based access path per source at construction time
-// and routes both execution paths through selectivity-ranked index probes.
-// Answers are byte-identical to the scan paths.
+// and answers every source selection through selectivity-ranked index
+// probes. Answers are byte-identical to the scan path.
 func WithIndex(on bool) Option {
 	return func(c *Config) { c.Index = on }
 }
@@ -139,8 +112,7 @@ func WithRetryConfig(rc resilience.RetryConfig) Option {
 
 // WithHedge launches a duplicate of a straggling source execution after
 // that source's tracked latency-quantile delay and takes the first result,
-// cancelling the loser. Materialized fan-out only; see
-// ResilienceConfig.Hedge.
+// cancelling the loser.
 func WithHedge(on bool) Option {
 	return func(c *Config) { c.Resilience.Hedge = on }
 }

@@ -18,8 +18,8 @@ import (
 // cached answer. Run under -race in CI this also exercises intra-translation
 // parallelism nested inside serve's own request/source fan-out.
 func TestParallelTranslationUnderCache(t *testing.T) {
-	seqSrv, _, _ := bookstoreServer(Config{CacheSize: 32, Workers: 4})
-	parSrv, parMed, _ := bookstoreServer(Config{CacheSize: 32, Workers: 4})
+	seqSrv, _, _ := bookstoreServer(Config{Cache: CacheConfig{Size: 32}, Workers: 4})
+	parSrv, parMed, _ := bookstoreServer(Config{Cache: CacheConfig{Size: 32}, Workers: 4})
 	parMed.Parallelism = 4
 
 	queries := make([]*qtree.Node, len(mixedWorkload))

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mediator"
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/stream"
 )
 
 // ErrBreakerOpen is re-exported from package resilience so serve callers
@@ -119,8 +118,8 @@ type sourceEvents struct {
 	hedgeWon      bool
 }
 
-// runSource is the per-source operation of the materialized fan-out with
-// the full resilience stack applied, layered breaker → retry → hedge:
+// runSource is the per-source operation of the fan-out with the full
+// resilience stack applied, layered breaker → retry → hedge:
 //
 //	breaker.Allow gates the whole operation (typed ErrBreakerOpen when
 //	open — the degraded-answer contract), each retry attempt is a hedged
@@ -234,58 +233,6 @@ func (s *Server) execSourceOnce(ctx context.Context, tr *mediator.Translation, s
 		}
 		return nil, fmt.Errorf("serve: source %s: %w", name, ctx.Err())
 	}
-}
-
-// wrapShardHook layers the streaming path's resilience onto the configured
-// shard hook: breaker admission first (Allow per shard execution; the
-// matching Record comes from the pipeline's OnShardDone callback, so the
-// outcome covers the whole shard scan, not just the hook), then bounded
-// retry of the hook itself. The hook runs before any tuple is emitted, so
-// retrying it never duplicates output — which is also why shard executions
-// are not hedged: a shard's output is an ordered channel feeding the
-// deterministic merge, and racing two copies of it would forfeit the
-// determinism contract.
-func (s *Server) wrapShardHook(hook stream.Hook) stream.Hook {
-	if !s.resCfg.enabled() {
-		return hook
-	}
-	return func(ctx context.Context, source string, shard int) error {
-		rs := s.res[source]
-		if rs != nil && rs.breaker != nil {
-			if err := rs.breaker.Allow(); err != nil {
-				return err
-			}
-		}
-		if hook == nil {
-			return nil
-		}
-		if s.retrier == nil {
-			return hook(ctx, source, shard)
-		}
-		_, retries, err := resilience.Do(ctx, s.retrier, retryableFault,
-			func(ctx context.Context) (struct{}, error) {
-				return struct{}{}, hook(ctx, source, shard)
-			})
-		if retries > 0 {
-			s.retriesCtr.Add(uint64(retries))
-		}
-		return err
-	}
-}
-
-// recordShardOutcome feeds one finished shard execution back into its
-// source's breaker. Executions the breaker itself refused are skipped
-// (they were never admitted, so there is no Record to pair), and
-// cancellation does not count as failure.
-func (s *Server) recordShardOutcome(source string, err error) {
-	rs := s.res[source]
-	if rs == nil || rs.breaker == nil {
-		return
-	}
-	if errors.Is(err, resilience.ErrBreakerOpen) {
-		return
-	}
-	rs.breaker.Record(sourceFailure(err))
 }
 
 // resilienceSpan emits the per-source breaker and hedge summary spans when

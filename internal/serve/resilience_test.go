@@ -93,55 +93,6 @@ func TestBreakerTripAndRecovery(t *testing.T) {
 	}
 }
 
-// TestBreakerStreamingPath runs the same trip/fast-fail/recover cycle on the
-// streaming pipeline: shard-hook failures feed the breaker via the
-// pipeline's OnShardDone seam, an open breaker refuses shard admission with
-// the typed error, and a healthy probe closes it.
-func TestBreakerStreamingPath(t *testing.T) {
-	inj := engine.NewInjector(1, engine.FaultPlan{})
-	bc := resilience.BreakerConfig{
-		Window: 8, FailureRatio: 0.5, MinSamples: 4,
-		OpenFor: 150 * time.Millisecond, HalfOpenProbes: 1,
-	}
-	srv, med, data := bookstoreServer(Config{
-		Cache:      CacheConfig{Size: 8},
-		Streaming:  StreamConfig{Enabled: true, Shards: 1, Hook: inj.ApplyShard},
-		Resilience: ResilienceConfig{Breaker: true, BreakerConfig: bc},
-	})
-	ctx := context.Background()
-	q := qparse.MustParse(`[publisher = "aw"]`)
-	want, _, err := med.ExecuteUnion(q, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inj.SetErrorBurst("amazon", 4) // shard streams inherit the base pin
-	for i := 0; i < 4; i++ {
-		if _, err := srv.Query(ctx, q); !errors.Is(err, engine.ErrInjected) {
-			t.Fatalf("query %d: err = %v, want ErrInjected", i, err)
-		}
-	}
-	st := srv.Stats()
-	if st.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", st.BreakerTrips)
-	}
-	if _, err := srv.Query(ctx, q); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open-state err = %v, want ErrBreakerOpen", err)
-	}
-
-	time.Sleep(bc.OpenFor + 50*time.Millisecond)
-	got, err := srv.Query(ctx, q)
-	if err != nil {
-		t.Fatalf("post-cooldown query: %v", err)
-	}
-	if render(got) != render(want) {
-		t.Fatal("post-recovery streaming answer differs from baseline")
-	}
-	if got := srv.Stats().Sources["amazon"].BreakerState; got != "closed" {
-		t.Fatalf("post-recovery breaker state = %q, want closed", got)
-	}
-}
-
 // TestRetryRecoversTransientFault asserts bounded retry absorbs a typed
 // transient burst shorter than the attempt budget — and surfaces the typed
 // error, not an untyped one, when the burst outlasts it.
@@ -343,87 +294,5 @@ func TestAdmissionCleanAnswers(t *testing.T) {
 				t.Fatalf("admission changed the answer for %q", s)
 			}
 		}
-	}
-}
-
-// TestConfigNormalized pins the deprecation shim's folding rules: flat
-// fields apply only when the grouped counterpart is unset, and the grouped
-// field wins on conflict.
-func TestConfigNormalized(t *testing.T) {
-	flat := Config{
-		CacheSize:      64,
-		MatchCacheSize: 128,
-		Stream:         true,
-		Shards:         4,
-		StreamBuffer:   16,
-		BuildBudget:    1000,
-	}
-	n := flat.normalized()
-	if n.Cache.Size != 64 || n.Cache.MatchCacheSize != 128 {
-		t.Errorf("cache group = %+v, want flat values folded in", n.Cache)
-	}
-	if !n.Streaming.Enabled || n.Streaming.Shards != 4 || n.Streaming.Buffer != 16 || n.Streaming.BuildBudget != 1000 {
-		t.Errorf("stream group = %+v, want flat values folded in", n.Streaming)
-	}
-
-	conflict := Config{
-		CacheSize: 64,
-		Cache:     CacheConfig{Size: 32},
-		Shards:    4,
-		Streaming: StreamConfig{Shards: 2},
-	}
-	n = conflict.normalized()
-	if n.Cache.Size != 32 {
-		t.Errorf("Cache.Size = %d, want the grouped 32 to win over flat 64", n.Cache.Size)
-	}
-	if n.Streaming.Shards != 2 {
-		t.Errorf("Streaming.Shards = %d, want the grouped 2 to win over flat 4", n.Streaming.Shards)
-	}
-}
-
-// TestFlatGroupedEquivalence builds one server from an old-style flat Config
-// and one from the grouped form of the same values, runs the mixed workload
-// on both, and demands identical answers and identical cache/stream
-// accounting — the regrouping's source-compatibility contract.
-func TestFlatGroupedEquivalence(t *testing.T) {
-	flat, _, _ := bookstoreServer(Config{
-		CacheSize:    16,
-		Workers:      4,
-		Stream:       true,
-		Shards:       2,
-		StreamBuffer: 4,
-	})
-	grouped, _, _ := bookstoreServer(Config{
-		Cache:     CacheConfig{Size: 16},
-		Workers:   4,
-		Streaming: StreamConfig{Enabled: true, Shards: 2, Buffer: 4},
-	})
-	ctx := context.Background()
-	for round := 0; round < 2; round++ {
-		for _, s := range mixedWorkload {
-			q := qparse.MustParse(s)
-			a, err := flat.Query(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := grouped.Query(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if render(a) != render(b) {
-				t.Fatalf("flat and grouped servers disagree on %q", s)
-			}
-		}
-	}
-	fs, gs := flat.Stats(), grouped.Stats()
-	if fs.CacheHits != gs.CacheHits || fs.CacheMisses != gs.CacheMisses || fs.CacheEntries != gs.CacheEntries {
-		t.Errorf("cache accounting diverged: flat hits/misses/entries %d/%d/%d vs grouped %d/%d/%d",
-			fs.CacheHits, fs.CacheMisses, fs.CacheEntries, gs.CacheHits, gs.CacheMisses, gs.CacheEntries)
-	}
-	if fs.StreamRequests != gs.StreamRequests {
-		t.Errorf("StreamRequests: flat %d vs grouped %d", fs.StreamRequests, gs.StreamRequests)
-	}
-	if fs.StreamRequests == 0 {
-		t.Error("flat Stream field did not enable the streaming path")
 	}
 }

@@ -25,9 +25,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -36,7 +34,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qtree"
 	"repro/internal/resilience"
-	"repro/internal/stream"
 )
 
 // DefaultCacheSize is the translation-cache capacity used when Config (or
@@ -161,29 +158,19 @@ type Server struct {
 	timeout time.Duration
 	exec    SourceExecutor
 
-	// ranks orders the universe tuples for the materialized union merge;
-	// unionRanks builds it on the first union query that has answers.
+	// ranks orders the universe tuples for the union merge; unionRanks
+	// builds it on the first union query that has answers.
 	ranksOnce sync.Once
 	ranks     *engine.Ranks
 	// native is set when the server selects on column snapshots: no
 	// Config.Executor and no Config.Index. snaps then holds a snapshot of
-	// each universe relation, which fanOut builds on the first
-	// materialized query.
+	// each universe relation, which fanOut builds on the first query.
 	native   bool
 	snapOnce sync.Once
 	snaps    map[*engine.Relation]*engine.Snapshot
 
-	stream      bool
-	shards      int
-	streamBuf   int
-	buildBudget int
-	shardHook   stream.Hook
-	presorted   map[string]*stream.Sorted
-	streamMet   *stream.Metrics
-	// access holds each source's cost-based access path when Config.Index
-	// is on: built over the presorted universe on the streaming path (so
-	// probe positions align with shard slices) and over the raw data
-	// relation otherwise. Nil map when indexing is off.
+	// access holds each source's cost-based access path over its data
+	// relation when Config.Index is on; nil map when indexing is off.
 	access map[string]*engine.Access
 
 	reg      *obs.Registry
@@ -192,13 +179,6 @@ type Server struct {
 	timeouts *obs.Counter
 	errors   *obs.Counter
 	sources  map[string]*sourceCounters
-
-	streamReqs       *obs.Counter
-	streamMergeWaits *obs.Counter
-	streamEmitted    atomic.Uint64
-	streamInFlight   atomic.Int64
-	streamPeak       atomic.Int64
-	shardEmits       map[string][]*obs.Counter
 
 	// Resilience layer (nil/zero when ResilienceConfig is all-off).
 	resCfg        ResilienceConfig
@@ -217,7 +197,6 @@ type Server struct {
 // matchings cache on the mediator (med.MatchCache) so distinct requests
 // reuse SCM matching work; a cache the mediator already carries is kept.
 func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *Server {
-	cfg = cfg.normalized()
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 2 * runtime.GOMAXPROCS(0)
@@ -242,18 +221,6 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 	if cfg.ChainDebug {
 		med.ChainDebug = true
 	}
-	shards := cfg.Streaming.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	streamBuf := cfg.Streaming.Buffer
-	if streamBuf <= 0 {
-		streamBuf = stream.DefaultBuffer
-	}
-	budget := cfg.Streaming.BuildBudget
-	if budget <= 0 {
-		budget = DefaultBuildBudget
-	}
 	s := &Server{
 		med:     med,
 		data:    data,
@@ -266,30 +233,12 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 		native:  cfg.Executor == nil && !cfg.Index,
 		reg:     reg,
 		sources: make(map[string]*sourceCounters, len(med.Sources)),
-
-		stream:      cfg.Streaming.Enabled,
-		shards:      shards,
-		streamBuf:   streamBuf,
-		buildBudget: budget,
-		resCfg:      cfg.Resilience,
+		resCfg:  cfg.Resilience,
 	}
 	s.initResilience(cfg.Resilience)
-	s.shardHook = s.wrapShardHook(cfg.Streaming.Hook)
-	if cfg.Streaming.Enabled {
-		s.presorted = make(map[string]*stream.Sorted, len(data))
-		for name, rel := range data {
-			s.presorted[name] = stream.Presort(rel)
-		}
-	}
 	if cfg.Index {
 		s.access = make(map[string]*engine.Access, len(data))
 		for name, rel := range data {
-			if cfg.Streaming.Enabled {
-				// The streaming executors probe in presorted position
-				// space, so the access path must be built over the
-				// presorted universe, not the raw relation.
-				rel = s.presorted[name].Relation()
-			}
 			s.access[name] = engine.BuildAccess(rel)
 		}
 	}
@@ -338,31 +287,6 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 			"Tuples evaluated by selections: probe candidates when indexed, whole universes on fallback.",
 			func() float64 { return float64(s.accessStats().Scanned) })
 	}
-	s.streamReqs = reg.Counter("qmap_stream_requests_total",
-		"Requests answered by the streaming pipeline.")
-	s.streamMergeWaits = reg.Counter("qmap_stream_merge_waits_total",
-		"Times the k-way merge blocked waiting for a shard to produce.")
-	reg.CounterFunc("qmap_stream_emitted_total",
-		"Tuples emitted by shard executors across all sources.",
-		func() float64 { return float64(s.streamEmitted.Load()) })
-	reg.GaugeFunc("qmap_stream_in_flight",
-		"Tuples currently in flight in streaming pipelines (buffered or in a sender's hand).",
-		func() float64 { return float64(s.streamInFlight.Load()) })
-	reg.GaugeFunc("qmap_stream_peak_in_flight",
-		"High-water mark of in-flight streaming tuples (peak buffer occupancy).",
-		func() float64 { return float64(s.streamPeak.Load()) })
-	if cfg.Streaming.Enabled {
-		s.shardEmits = make(map[string][]*obs.Counter, len(med.Sources))
-		for _, src := range med.Sources {
-			cs := make([]*obs.Counter, shards)
-			for j := range cs {
-				cs[j] = reg.Counter("qmap_stream_shard_emitted_total",
-					"Tuples emitted by one shard executor.",
-					"source", src.Name, "shard", strconv.Itoa(j))
-			}
-			s.shardEmits[src.Name] = cs
-		}
-	}
 	s.hedgeLaunched = reg.Counter("qmap_hedge_launched_total",
 		"Hedged source attempts launched after the latency-quantile delay.")
 	s.hedgeWon = reg.Counter("qmap_hedge_won_total",
@@ -375,7 +299,6 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 	reg.CounterFunc("qmap_admission_rejected_total",
 		"Cache inserts rejected by the TinyLFU admission policy (translation and matchings caches).",
 		func() float64 { return float64(s.admissionRejected()) })
-	s.streamMet = s.streamMetrics()
 	for _, src := range med.Sources {
 		s.sources[src.Name] = &sourceCounters{
 			timeouts: reg.Counter("qmap_source_timeouts_total",
@@ -522,13 +445,6 @@ func (s *Server) Query(ctx context.Context, q *qtree.Node) (*engine.Relation, er
 		s.errors.Inc()
 		return nil, err
 	}
-	if s.stream {
-		out, err := s.streamUnion(ctx, tr)
-		if err != nil {
-			s.errors.Inc()
-		}
-		return out, err
-	}
 	rels, events, err := s.fanOut(ctx, tr, true)
 	if err != nil {
 		s.errors.Inc()
@@ -632,13 +548,6 @@ func (s *Server) QueryJoin(ctx context.Context, q *qtree.Node) (*engine.Relation
 		s.errors.Inc()
 		return nil, err
 	}
-	if s.stream {
-		out, err := s.streamJoin(ctx, tr)
-		if err != nil {
-			s.errors.Inc()
-		}
-		return out, err
-	}
 	rels, events, err := s.fanOut(ctx, tr, false)
 	if err != nil {
 		s.errors.Inc()
@@ -698,12 +607,6 @@ func (s *Server) Stats() Stats {
 		CacheEvictions: s.tr.Evictions(),
 		Timeouts:       s.timeouts.Value(),
 		Errors:         s.errors.Value(),
-
-		StreamRequests:     s.streamReqs.Value(),
-		StreamInFlight:     s.streamInFlight.Load(),
-		StreamPeakInFlight: s.streamPeak.Load(),
-		StreamEmitted:      s.streamEmitted.Load(),
-		StreamMergeWaits:   s.streamMergeWaits.Value(),
 
 		BreakerTrips:      s.breakerTrips(),
 		HedgesLaunched:    s.hedgeLaunched.Value(),

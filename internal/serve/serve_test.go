@@ -57,7 +57,7 @@ func render(r *engine.Relation) string {
 // sequential mediator.ExecuteUnion result. Run under -race this is the
 // concurrency-correctness check of the serving layer.
 func TestConcurrentEquivalence(t *testing.T) {
-	srv, med, data := bookstoreServer(Config{CacheSize: 32, Workers: 4})
+	srv, med, data := bookstoreServer(Config{Cache: CacheConfig{Size: 32}, Workers: 4})
 
 	queries := make([]*qtree.Node, len(mixedWorkload))
 	want := make([]string, len(mixedWorkload))
@@ -128,7 +128,7 @@ var joinShapes = []string{
 
 // TestQueryJoinEquivalence checks the join-style fan-out against the
 // sequential ExecuteJoin on the Example 3 library scenario: every join
-// shape, over several generated libraries, materialized and streaming.
+// shape, over several generated libraries.
 func TestQueryJoinEquivalence(t *testing.T) {
 	med := mediator.New(sources.NewT1(), sources.NewT2())
 	med.Glue = sources.LibraryGlue()
@@ -139,23 +139,21 @@ func TestQueryJoinEquivalence(t *testing.T) {
 			"t1": sources.T1Relation(people, papers),
 			"t2": sources.T2Relation(people),
 		}
-		for _, stream := range []bool{false, true} {
-			srv := New(med, data, Config{Cache: CacheConfig{Size: 8}, Streaming: StreamConfig{Enabled: stream}})
-			for _, s := range joinShapes {
-				q := qparse.MustParse(s)
-				wantRel, _, err := med.ExecuteJoin(q, data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := srv.QueryJoin(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if render(got) != render(wantRel) {
-					t.Errorf("seed %d stream=%v: QueryJoin(%q) diverged from ExecuteJoin", seed, stream, s)
-				}
-				answers += got.Len()
+		srv := New(med, data, Config{Cache: CacheConfig{Size: 8}})
+		for _, s := range joinShapes {
+			q := qparse.MustParse(s)
+			wantRel, _, err := med.ExecuteJoin(q, data)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, err := srv.QueryJoin(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if render(got) != render(wantRel) {
+				t.Errorf("seed %d: QueryJoin(%q) diverged from ExecuteJoin", seed, s)
+			}
+			answers += got.Len()
 		}
 	}
 	if answers == 0 {
@@ -227,7 +225,7 @@ func TestCacheStampede(t *testing.T) {
 // TestCanonicalCacheSharing asserts permuted-but-equivalent queries share
 // one cache entry (and return the identical translation instance).
 func TestCanonicalCacheSharing(t *testing.T) {
-	srv, _, _ := bookstoreServer(Config{CacheSize: 8})
+	srv, _, _ := bookstoreServer(Config{Cache: CacheConfig{Size: 8}})
 	ctx := context.Background()
 	a, err := srv.Translate(ctx, qparse.MustParse(`[ln = "Clancy"] and [fn = "Tom"]`))
 	if err != nil {
@@ -252,7 +250,7 @@ func TestSourceTimeout(t *testing.T) {
 	med := mediator.New(sources.NewAmazon(), sources.NewClbooks())
 	catalog := sources.BookRelation("catalog", sources.GenBooks(5, 4000))
 	data := map[string]*engine.Relation{"amazon": catalog, "clbooks": catalog}
-	srv := New(med, data, Config{CacheSize: 8, SourceTimeout: time.Nanosecond})
+	srv := New(med, data, Config{Cache: CacheConfig{Size: 8}, SourceTimeout: time.Nanosecond})
 
 	_, err := srv.Query(context.Background(), qparse.MustParse(`[ti contains java(near)jdk]`))
 	if err == nil {
@@ -269,7 +267,7 @@ func TestSourceTimeout(t *testing.T) {
 
 // TestCanceledContext asserts a pre-canceled request context fails fast.
 func TestCanceledContext(t *testing.T) {
-	srv, _, _ := bookstoreServer(Config{CacheSize: 8, Workers: 1})
+	srv, _, _ := bookstoreServer(Config{Cache: CacheConfig{Size: 8}, Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := srv.Query(ctx, qparse.MustParse(`[publisher = "aw"]`)); err == nil {
@@ -280,7 +278,7 @@ func TestCanceledContext(t *testing.T) {
 // TestCacheEvictionUnderPressure runs more distinct queries than the cache
 // holds and checks evictions are counted while answers stay correct.
 func TestCacheEvictionUnderPressure(t *testing.T) {
-	srv, med, data := bookstoreServer(Config{CacheSize: 2})
+	srv, med, data := bookstoreServer(Config{Cache: CacheConfig{Size: 2}})
 	ctx := context.Background()
 	for round := 0; round < 2; round++ {
 		for _, s := range mixedWorkload {

@@ -38,7 +38,7 @@ var librarySoakQueries = []string{
 // baseline, and the cache accounting must balance: every request is exactly
 // one cache lookup, so hits + misses + shared == requests on both servers.
 func TestSoakMixedWorkload(t *testing.T) {
-	tiny := Config{CacheSize: 2, Workers: 4}
+	tiny := Config{Cache: CacheConfig{Size: 2}, Workers: 4}
 	union, med, data := bookstoreServer(tiny)
 
 	jmed := mediator.New(sources.NewT1(), sources.NewT2())
@@ -130,8 +130,8 @@ func TestSoakMixedWorkload(t *testing.T) {
 		if st.Errors != 0 || st.Timeouts != 0 {
 			t.Errorf("%s server: Errors = %d, Timeouts = %d, want 0", sv.name, st.Errors, st.Timeouts)
 		}
-		if st.CacheEntries > tiny.CacheSize {
-			t.Errorf("%s server: CacheEntries = %d exceeds capacity %d", sv.name, st.CacheEntries, tiny.CacheSize)
+		if st.CacheEntries > tiny.Cache.Size {
+			t.Errorf("%s server: CacheEntries = %d exceeds capacity %d", sv.name, st.CacheEntries, tiny.Cache.Size)
 		}
 	}
 	// The tiny cache must have churned: more distinct canonical keys exist

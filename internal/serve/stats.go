@@ -92,21 +92,6 @@ type Stats struct {
 	// of the JSON shape, because perfbench still reads them.
 	PlanHits   uint64 `json:"-"`
 	PlanMisses uint64 `json:"-"`
-	// StreamRequests counts Query/QueryJoin calls answered by the streaming
-	// pipeline (zero when streaming is disabled).
-	StreamRequests uint64 `json:"stream_requests"`
-	// StreamInFlight is the number of tuples currently in flight in
-	// streaming pipelines (buffered in shard channels or in a blocked
-	// sender's hand).
-	StreamInFlight int64 `json:"stream_in_flight"`
-	// StreamPeakInFlight is the high-water mark of StreamInFlight — the peak
-	// buffer occupancy, bounded by shards × (buffer + 2) per request.
-	StreamPeakInFlight int64 `json:"stream_peak_in_flight"`
-	// StreamEmitted counts tuples emitted by shard executors.
-	StreamEmitted uint64 `json:"stream_emitted"`
-	// StreamMergeWaits counts the times the k-way merge blocked waiting for
-	// a shard to produce.
-	StreamMergeWaits uint64 `json:"stream_merge_waits"`
 	// IndexProbes counts index probes executed by the access-path planner,
 	// one per planned disjunct (zero when indexing is off).
 	IndexProbes uint64 `json:"index_probes"`

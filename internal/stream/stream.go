@@ -25,6 +25,11 @@
 // stream is byte-identical — content and order — to the relation
 // mediator.ExecuteUnion materializes, because both orders are "sorted by
 // engine.Tuple.String with one representative per key".
+//
+// Nothing imports the package any more: the serving layer answers every
+// request on its fan-out (docs/performance.md §12), and the package is due
+// for deletion together with the position window of engine.AccessPlan.Scan,
+// which only its shard executors use.
 package stream
 
 import (

@@ -298,17 +298,12 @@ type (
 	// keyed by the query's canonical form, with singleflight suppression
 	// of concurrent duplicate misses. Safe for concurrent use.
 	CachingTranslator = serve.CachingTranslator
-	// ServeConfig sizes a serve.Server. The grouped sub-structs
-	// (ServeCacheConfig, ServeStreamConfig, ServeResilienceConfig) are the
-	// primary surface; the flat fields marked Deprecated remain as a
-	// source-compatible shim.
+	// ServeConfig sizes a serve.Server; caches and resilience are grouped
+	// in ServeCacheConfig and ServeResilienceConfig.
 	ServeConfig = serve.Config
 	// ServeCacheConfig groups the server's cache sizing and the TinyLFU
 	// admission policy (ServeConfig.Cache).
 	ServeCacheConfig = serve.CacheConfig
-	// ServeStreamConfig groups the streaming pipeline's knobs
-	// (ServeConfig.Streaming).
-	ServeStreamConfig = serve.StreamConfig
 	// ServeResilienceConfig groups the per-source breaker/retry/hedge layer
 	// (ServeConfig.Resilience). The zero value disables everything.
 	ServeResilienceConfig = serve.ResilienceConfig
@@ -354,27 +349,13 @@ var (
 	// ServeMatchCacheSize sizes the server-built shared matchings cache;
 	// a negative size disables cross-request matching reuse.
 	ServeMatchCacheSize = serve.WithMatchCacheSize
-	// ServeStreaming switches Query/QueryJoin to the tuple-at-a-time
-	// per-shard pipeline with the given shard count; answers are identical
-	// to the materialized path with per-request memory bounded by
-	// shards × buffer in-flight tuples.
-	ServeStreaming = serve.WithStreaming
-	// ServeStreamBuffer sets the per-shard channel capacity on the
-	// streaming path.
-	ServeStreamBuffer = serve.WithStreamBuffer
-	// ServeBuildBudget bounds the materialized build side of a streaming
-	// join in tuples.
-	ServeBuildBudget = serve.WithBuildBudget
-	// ServeShardHook runs a hook at the start of every shard execution on
-	// the streaming path (fault injection, admission checks).
-	ServeShardHook = serve.WithShardHook
 	// ServeChainDebug switches chain-backed sources to sequential
 	// hop-by-hop translation (differential-checking mode).
 	ServeChainDebug = serve.WithChainDebug
 	// ServeIndex builds cost-based access paths (hash, sorted-array, and
 	// inverted-token indexes plus per-attribute statistics) per source and
-	// routes both execution paths through selectivity-ranked probes; answers
-	// are byte-identical to the scan paths.
+	// answers every source selection through selectivity-ranked probes;
+	// answers are byte-identical to the scan path.
 	ServeIndex = serve.WithIndex
 	// ServeCacheAdmission guards the translation and matchings caches with
 	// a TinyLFU admission sketch: full caches only admit entries estimated
@@ -394,8 +375,7 @@ var (
 	// ServeRetryConfig tunes the backoff between retry attempts.
 	ServeRetryConfig = serve.WithRetryConfig
 	// ServeHedge duplicates straggling source executions after the source's
-	// latency-quantile delay and takes the first result (materialized
-	// fan-out only).
+	// latency-quantile delay and takes the first result.
 	ServeHedge = serve.WithHedge
 	// ServeHedgeConfig enables hedging tuned by a HedgeConfig.
 	ServeHedgeConfig = serve.WithHedgeConfig
@@ -408,9 +388,6 @@ var (
 
 // Typed error sentinels of the serving layer, for errors.Is checks.
 var (
-	// ErrBuildBudget reports a streaming join whose materialized build side
-	// exceeded its tuple budget.
-	ErrBuildBudget = serve.ErrBuildBudget
 	// ErrInjected is the typed root of every transient fault an injector
 	// produces (fault-injection testing).
 	ErrInjected = engine.ErrInjected

@@ -214,7 +214,6 @@ func TestResilienceSurfaceExported(t *testing.T) {
 
 	// The typed sentinels must be wired to their internal roots.
 	for name, sentinel := range map[string]error{
-		"ErrBuildBudget": querymap.ErrBuildBudget,
 		"ErrInjected":    querymap.ErrInjected,
 		"ErrBreakerOpen": querymap.ErrBreakerOpen,
 	} {
