@@ -90,7 +90,7 @@ func main() {
 	workers := flag.Int("workers", 0, "max concurrent source executions (0 = 2×GOMAXPROCS)")
 	srcTimeout := flag.Duration("source-timeout", 10*time.Second, "per-source execution timeout (0 = none)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain timeout")
-	index := flag.Bool("index", false, "build cost-based access paths per source and answer via selectivity-ranked index probes (qmap_index_* metrics)")
+	index := flag.Bool("index", false, "build cost-based access paths over the catalog and answer via selectivity-ranked index probes (qmap_index_* metrics)")
 	breaker := flag.Bool("breaker", false, "per-source circuit breakers: a tripped source fails fast with a typed error (qmap_breaker_* metrics)")
 	hedge := flag.Bool("hedge", false, "hedge straggling source executions after the tracked latency-quantile delay (qmap_hedge_* metrics)")
 	retries := flag.Int("retries", 0, "total executions allowed per source request on transient faults, first included (<= 1 disables; qmap_retry_total)")

@@ -66,8 +66,8 @@ type benchEntry struct {
 	// HedgesWonPct is the fraction of requests won by a hedged attempt over
 	// the measurement, for the hedge/tail/on row.
 	HedgesWonPct float64 `json:"hedges_won_pct,omitempty"`
-	// AllocsPerOp is heap allocations per operation, for the scan/full,
-	// scan/compiled and union rows.
+	// AllocsPerOp is heap allocations per operation, for the scan/* and
+	// union rows.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// CompiledPct is the share of operations the column snapshot answered
 	// on its rows, for the scan/compiled rows (see compiledFloor).
@@ -400,16 +400,18 @@ func runScanBench() []benchEntry {
 		out = append(out, entry)
 		before = acc.Stats().Scanned
 		ops = 0
+		indexed := func() {
+			ops++
+			if _, err := rel.SelectAccess(ctx, q, ev, acc); err != nil {
+				panic(err)
+			}
+		}
 		entry = benchEntry{
-			Name: "scan/indexed/" + variant.name,
-			NsPerOp: timeOp(func() {
-				ops++
-				if _, err := rel.SelectAccess(ctx, q, ev, acc); err != nil {
-					panic(err)
-				}
-			}),
+			Name:    "scan/indexed/" + variant.name,
+			NsPerOp: timeOp(indexed),
 		}
 		entry.ScannedTuples = math.Round(float64(acc.Stats().Scanned-before) / float64(ops))
+		entry.AllocsPerOp = testing.AllocsPerRun(100, indexed)
 		out = append(out, entry)
 	}
 	return out

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -88,7 +89,7 @@ type AccessStats struct {
 	// probe existed.
 	Fallbacks uint64
 	// Scanned counts tuples evaluated: probe candidates on indexed
-	// selections, the whole range on fallbacks.
+	// selections, the whole relation on fallbacks.
 	Scanned uint64
 }
 
@@ -303,8 +304,8 @@ type disjunctPlan struct {
 
 // AccessPlan is a planned execution of one query over one Access. A plan
 // either probes (every disjunct has a sound, exactly-counted access path) or
-// falls back to the full scan; either way Scan emits matching positions in
-// ascending order, reproducing Relation.Select's tuple order.
+// falls back to the full scan; either way SelectAccess returns the matching
+// tuples in ascending position order, reproducing Relation.Select's order.
 type AccessPlan struct {
 	acc       *Access
 	orig      *qtree.Node
@@ -682,73 +683,59 @@ func (a *Access) estimate(c *qtree.Constraint, ev *Evaluator) float64 {
 	return sel
 }
 
-// candidates materializes the probe's candidate positions restricted to the
-// global window [lo, hi), ascending. Hash buckets and postings slice an
-// already-ascending list; sorted-array windows are position-sorted copies.
-func (pr *probe) candidates(lo, hi int) []int32 {
+// candidates returns the probe's candidate positions, ascending. Hash
+// buckets and postings are already ascending and are returned as they are;
+// sorted-array windows are position-sorted copies.
+func (pr *probe) candidates() []int32 {
 	switch pr.kind {
 	case probeEmpty:
 		return nil
 	case probeEq:
-		return clipAscending(pr.bucket, lo, hi)
+		return pr.bucket
 	case probeToken:
-		return clipAscending(pr.postings, lo, hi)
+		return pr.postings
 	default:
 		src := pr.aa.sorted
 		if pr.useLex {
 			src = pr.aa.lex
 		}
-		out := make([]int32, 0, pr.hi-pr.lo)
-		for _, pos := range src[pr.lo:pr.hi] {
-			if int(pos) >= lo && int(pos) < hi {
-				out = append(out, pos)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		out := slices.Clone(src[pr.lo:pr.hi])
+		slices.Sort(out)
 		return out
 	}
 }
 
-// clipAscending returns the subslice of an ascending position list that
-// falls inside [lo, hi).
-func clipAscending(ps []int32, lo, hi int) []int32 {
-	i := sort.Search(len(ps), func(k int) bool { return int(ps[k]) >= lo })
-	j := i + sort.Search(len(ps)-i, func(k int) bool { return int(ps[i+k]) >= hi })
-	return ps[i:j]
-}
-
-// Scan streams the positions in [lo, hi) whose tuples satisfy the query, in
-// ascending order — the scan path's emission order. The context is polled on
-// a stride so cancelled executions stop promptly; a nil visit error
-// continues, any other error aborts the scan. Execution counters accrue on
-// the Access.
-func (p *AccessPlan) Scan(ctx context.Context, lo, hi int, visit func(pos int) error) error {
+// selectTuples returns the tuples that satisfy the query in ascending
+// position order, the scan path's order. The context is polled every 64
+// evaluated tuples so cancelled selections stop promptly. Execution
+// counters accrue on the Access.
+func (p *AccessPlan) selectTuples(ctx context.Context) ([]Tuple, error) {
 	a := p.acc
+	tuples := a.rel.Tuples
+	var out []Tuple
 	if !p.probed {
 		a.fallbacks.Add(1)
-		a.scanned.Add(uint64(hi - lo))
-		for pos := lo; pos < hi; pos++ {
-			if (pos-lo)&63 == 0 {
+		a.scanned.Add(uint64(len(tuples)))
+		for pos, t := range tuples {
+			if pos&63 == 0 {
 				if err := ctx.Err(); err != nil {
-					return err
+					return nil, err
 				}
 			}
-			ok, err := p.ev.EvalQuery(p.orig, a.rel.Tuples[pos])
+			ok, err := p.ev.EvalQuery(p.orig, t)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if ok {
-				if err := visit(pos); err != nil {
-					return err
-				}
+				out = append(out, t)
 			}
 		}
-		return nil
+		return out, nil
 	}
 	a.probes.Add(uint64(len(p.disjuncts)))
 	cands := make([][]int32, len(p.disjuncts))
 	for i := range p.disjuncts {
-		cands[i] = p.disjuncts[i].probe.candidates(lo, hi)
+		cands[i] = p.disjuncts[i].probe.candidates()
 	}
 	idx := make([]int, len(cands))
 	var scanned uint64
@@ -763,15 +750,15 @@ func (p *AccessPlan) Scan(ctx context.Context, lo, hi int, visit func(pos int) e
 			}
 		}
 		if best < 0 {
-			return nil
+			return out, nil
 		}
 		if scanned&63 == 0 {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		scanned++
-		t := a.rel.Tuples[best]
+		t := tuples[best]
 		matched := false
 		for i := range cands {
 			if idx[i] < len(cands[i]) && int(cands[i][idx[i]]) == best {
@@ -779,16 +766,14 @@ func (p *AccessPlan) Scan(ctx context.Context, lo, hi int, visit func(pos int) e
 				if !matched {
 					ok, err := p.matchDisjunct(i, t)
 					if err != nil {
-						return err
+						return nil, err
 					}
 					matched = ok
 				}
 			}
 		}
 		if matched {
-			if err := visit(best); err != nil {
-				return err
-			}
+			out = append(out, t)
 		}
 	}
 }
@@ -815,14 +800,9 @@ func (r *Relation) SelectAccess(ctx context.Context, q *qtree.Node, ev *Evaluato
 	if acc == nil || acc.rel != r {
 		return r.Select(q, ev)
 	}
-	plan := acc.PlanQuery(q, ev)
-	out := &Relation{Name: r.Name}
-	err := plan.Scan(ctx, 0, len(r.Tuples), func(pos int) error {
-		out.Tuples = append(out.Tuples, r.Tuples[pos])
-		return nil
-	})
+	tuples, err := acc.PlanQuery(q, ev).selectTuples(ctx)
 	if err != nil {
 		return nil, selectErr(r.Name, err)
 	}
-	return out, nil
+	return &Relation{Name: r.Name, Tuples: tuples}, nil
 }

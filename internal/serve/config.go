@@ -102,9 +102,10 @@ type Config struct {
 	// most one server: the server registers fixed metric names and duplicate
 	// registration panics.
 	Metrics *obs.Registry
-	// Index builds a cost-based access path (engine.Access) per source at
-	// construction time — hash, sorted-array, and inverted-token indexes
-	// plus per-attribute statistics — and answers every source selection
+	// Index builds a cost-based access path (engine.Access) per data
+	// relation at construction time — hash, sorted-array, and
+	// inverted-token indexes plus per-attribute statistics, one set for
+	// sources that share a relation — and answers every source selection
 	// through selectivity-ranked index probes. Answers are byte-identical
 	// (content, order, and errors) to the scan path; queries the planner
 	// cannot probe soundly fall back to scanning automatically.

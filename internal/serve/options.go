@@ -60,9 +60,10 @@ func WithMatchCacheSize(n int) Option {
 	return func(c *Config) { c.Cache.MatchCacheSize = n }
 }
 
-// WithIndex builds a cost-based access path per source at construction time
-// and answers every source selection through selectivity-ranked index
-// probes. Answers are byte-identical to the scan path.
+// WithIndex builds a cost-based access path per data relation at
+// construction time and answers every source selection through
+// selectivity-ranked index probes. Answers are byte-identical to the scan
+// path.
 func WithIndex(on bool) Option {
 	return func(c *Config) { c.Index = on }
 }

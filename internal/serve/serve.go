@@ -169,9 +169,9 @@ type Server struct {
 	snapOnce sync.Once
 	snaps    map[*engine.Relation]*engine.Snapshot
 
-	// access holds each source's cost-based access path over its data
+	// access holds a cost-based access path over each distinct universe
 	// relation when Config.Index is on; nil map when indexing is off.
-	access map[string]*engine.Access
+	access map[*engine.Relation]*engine.Access
 
 	reg      *obs.Registry
 	requests *obs.Counter
@@ -237,9 +237,11 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 	}
 	s.initResilience(cfg.Resilience)
 	if cfg.Index {
-		s.access = make(map[string]*engine.Access, len(data))
-		for name, rel := range data {
-			s.access[name] = engine.BuildAccess(rel)
+		s.access = make(map[*engine.Relation]*engine.Access, len(data))
+		for _, rel := range data {
+			if _, done := s.access[rel]; !done {
+				s.access[rel] = engine.BuildAccess(rel)
+			}
 		}
 	}
 	s.requests = reg.Counter("qmap_serve_requests_total",
@@ -316,8 +318,8 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 	return s
 }
 
-// accessStats sums the cumulative access-path counters across all sources.
-// Zero when indexing is off.
+// accessStats sums the cumulative access-path counters across the universe
+// relations. Zero when indexing is off.
 func (s *Server) accessStats() engine.AccessStats {
 	var out engine.AccessStats
 	for _, acc := range s.access {
@@ -328,10 +330,6 @@ func (s *Server) accessStats() engine.AccessStats {
 	}
 	return out
 }
-
-// Access returns the named source's cost-based access path, or nil when
-// indexing is off (or the source is unknown).
-func (s *Server) Access(source string) *engine.Access { return s.access[source] }
 
 // Translator returns the server's translation cache.
 func (s *Server) Translator() *CachingTranslator { return s.tr }
@@ -580,7 +578,7 @@ func (s *Server) accessSpan(ctx context.Context, tr *mediator.Translation) {
 	}
 	for i := range tr.Sources {
 		st := &tr.Sources[i]
-		acc := s.access[st.Source.Name]
+		acc := s.access[s.data[st.Source.Name]]
 		if acc == nil {
 			continue
 		}
@@ -684,7 +682,7 @@ func (s *Server) evalSource(ctx context.Context, tr *mediator.Translation, st *m
 			return out, err
 		}
 	}
-	native, err := s.exec(ctx, st.Source.Name, rel, st.Query, st.Source.Eval, ix, s.access[st.Source.Name])
+	native, err := s.exec(ctx, st.Source.Name, rel, st.Query, st.Source.Eval, ix, s.access[rel])
 	if err != nil || !branchFilter {
 		return native, err
 	}

@@ -161,6 +161,30 @@ func TestQueryJoinEquivalence(t *testing.T) {
 	}
 }
 
+// TestIndexOneAccessPerRelation: sources that share a universe relation
+// share one Access, both sources' selections run through it, and the index
+// totals count each selection once.
+func TestIndexOneAccessPerRelation(t *testing.T) {
+	srv, med, data := bookstoreServer(Config{Index: true})
+	if len(srv.access) != 1 {
+		t.Fatalf("server over one shared relation holds %d access paths, want 1", len(srv.access))
+	}
+	for _, s := range mixedWorkload {
+		checkUnion(t, srv, med, data, qparse.MustParse(s), true)
+	}
+	for _, acc := range srv.access {
+		as, st := acc.Stats(), srv.Stats()
+		if selections := uint64(len(med.Sources) * len(mixedWorkload)); as.Probes+as.Fallbacks < selections {
+			t.Errorf("access ran %d probes and %d fallbacks, want at least one per selection (%d)",
+				as.Probes, as.Fallbacks, selections)
+		}
+		if st.IndexProbes != as.Probes || st.IndexFallbacks != as.Fallbacks || st.IndexScanned != as.Scanned {
+			t.Errorf("stats count probes/fallbacks/scanned %d/%d/%d, the access %d/%d/%d",
+				st.IndexProbes, st.IndexFallbacks, st.IndexScanned, as.Probes, as.Fallbacks, as.Scanned)
+		}
+	}
+}
+
 // TestCacheStampede asserts singleflight duplicate-suppression: N
 // concurrent misses for one canonical key run exactly one translation.
 func TestCacheStampede(t *testing.T) {

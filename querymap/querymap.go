@@ -353,9 +353,10 @@ var (
 	// hop-by-hop translation (differential-checking mode).
 	ServeChainDebug = serve.WithChainDebug
 	// ServeIndex builds cost-based access paths (hash, sorted-array, and
-	// inverted-token indexes plus per-attribute statistics) per source and
-	// answers every source selection through selectivity-ranked probes;
-	// answers are byte-identical to the scan path.
+	// inverted-token indexes plus per-attribute statistics) per data
+	// relation and answers every source selection through
+	// selectivity-ranked probes; answers are byte-identical to the scan
+	// path.
 	ServeIndex = serve.WithIndex
 	// ServeCacheAdmission guards the translation and matchings caches with
 	// a TinyLFU admission sketch: full caches only admit entries estimated
